@@ -16,10 +16,10 @@ import numpy as np
 
 from . import __version__
 from .cmt import coupled_eigenmodes, on_resonance_modes
-from .errors import CavpuckError, NotResonantError, ScenarioError
+from .errors import CavpuckError, NotResonantError, PeaksNotResolvedError, ScenarioError
 from .extract import Method, fit_lorentzian, q_phase_slope, q_three_db
 from .network import find_peaks_and_notch, read_spectrum_csv, synthesize_s21, write_spectrum_csv
-from .errors import PeaksNotResolvedError
+from .resonator import aspect_ratio_ok
 from .scenario import Scenario, bundled_scenario, load_scenario, parse_frequency
 from .sensitivity import dfsto_dt, responsivity_report
 from .sweep import SweepPlan, SweepVariable, run_sweep, write_sweep_csv, write_sweep_json
@@ -124,7 +124,6 @@ def _cmd_sensitivity(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     sys = scenario.system_at(t_k=args.temp, kappa=args.kappa)
     dfsto = dfsto_dt(scenario.puck, scenario.permittivity, args.temp)
-    from .resonator import aspect_ratio_ok
 
     report = responsivity_report(
         sys, dfsto, t_k=args.temp, formula_caveat=not aspect_ratio_ok(scenario.puck)

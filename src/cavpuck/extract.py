@@ -17,6 +17,9 @@ routes so they can cross-check each other:
 The estimates share scaffolding (windowing, the Levenberg-Marquardt loop)
 but consume different aspects of the data — magnitude crossings, the full
 power shape, the phase swing — so they still cross-check each other.
+Every local-maximum search here (the 3 dB peak, the phase-derivative
+extremum, the neighbours that clip the Lorentzian window) uses the one
+rule of the network peak finder, network._local_maxima.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .errors import (
     BandEdgeClippedError,
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .network import (
     Spectrum,
+    _local_maxima,
     _refine,
     find_peaks_and_notch,
     phase_derivative,
@@ -78,18 +81,22 @@ def q_internal_from_loaded(q_loaded: float, insertion_loss_db: float) -> float:
     return q_loaded / (1.0 - 10.0 ** (-insertion_loss_db / 20.0))
 
 
-def _window(spec: Spectrum, near_hz: float, window_hz: float | None):
-    f = spec.f_hz
+def _window(spec: Spectrum, near_hz: float, window_hz: float | None) -> slice:
+    """Slice of the samples within window_hz of near_hz (all with no window).
+
+    The grid is strictly increasing, so the selection is contiguous and
+    indexing with it takes a view, not a copy of the band.
+    """
     if window_hz is None:
-        return np.arange(f.size)
-    sel = np.flatnonzero(np.abs(f - near_hz) <= window_hz)
+        return slice(None)
+    sel = np.flatnonzero(np.abs(spec.f_hz - near_hz) <= window_hz)
     if sel.size < 5:
         raise ValueError("analysis window contains fewer than 5 samples")
-    return sel
+    return slice(int(sel[0]), int(sel[-1]) + 1)
 
 
 def _nearest_local_max(f, y, near_hz):
-    peaks, _ = _scipy_find_peaks(y)
+    peaks = _local_maxima(y)
     if peaks.size == 0:
         return int(np.argmax(y))
     return int(peaks[np.argmin(np.abs(f[peaks] - near_hz))])
@@ -294,16 +301,18 @@ def _least_squares(model, y, p0, *, accept=None, max_iter=100):
     )
 
 
-def _fit_window(spec: Spectrum, seed: ResonanceEstimate):
-    """Indices of the default Lorentzian window.
+def _fit_window(spec: Spectrum, seed: ResonanceEstimate) -> slice:
+    """Slice of the default Lorentzian window.
 
     +-10 seed linewidths about the seed f0, clipped on each side at the
     midpoint to the nearest other resonance there.  That is a local maximum
     of |S21|^2, averaged over a quarter seed linewidth, that reaches a
     quarter of the seed peak, with the averaged trace dipping below half
-    its height on the way from the seed.  Noise ripple is narrower than the
-    average, and at 20 dB SNR or better it seldom rises that high and dips
-    that deep; a weaker neighbour is left in the window.
+    its height on the way from the seed.  Local maxima follow the rule
+    shared with the peak finder (network._local_maxima): a flat top counts
+    once, at its middle sample, and a shoulder not at all.  Noise ripple is
+    narrower than the average, and at 20 dB SNR or better it seldom rises
+    that high and dips that deep; a weaker neighbour is left in the window.
     """
     f = spec.f_hz
     f0 = seed.f0_hz
@@ -312,8 +321,7 @@ def _fit_window(spec: Spectrum, seed: ResonanceEstimate):
     step = float(np.median(np.diff(f))) if f.size > 1 else 1.0
     fs, ps = _boxcar(f, np.abs(spec.s21) ** 2, round(0.25 * lw / step))
     i = int(np.argmin(np.abs(fs - f0)))
-    inner = ps[1:-1]
-    maxima = np.flatnonzero((inner > ps[:-2]) & (inner >= ps[2:])) + 1
+    maxima = _local_maxima(ps)
     maxima = maxima[ps[maxima] >= _OTHER_PEAK_MIN * ps[i]]
     above = maxima[maxima > i]
     above = above[np.minimum.accumulate(ps[i:])[above - i] <= 0.5 * ps[above]]
@@ -323,10 +331,10 @@ def _fit_window(spec: Spectrum, seed: ResonanceEstimate):
         hi = min(hi, 0.5 * (f0 + fs[above.min()]))
     if below.size:
         lo = max(lo, 0.5 * (f0 + fs[below.max()]))
-    sel = np.flatnonzero((f >= lo) & (f <= hi))
-    if sel.size < 5:
+    start, stop = np.searchsorted(f, lo, "left"), np.searchsorted(f, hi, "right")
+    if stop - start < 5:
         raise ValueError("analysis window contains fewer than 5 samples")
-    return sel
+    return slice(int(start), int(stop))
 
 
 def _fit_power(spec: Spectrum, sel, seed: ResonanceEstimate) -> ResonanceEstimate:

@@ -24,7 +24,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks as _scipy_find_peaks
 
 from .cmt import CoupledSystem, coupled_eigenmodes
 from .errors import GridTooCoarseError, PeaksNotResolvedError
@@ -106,17 +105,28 @@ def synthesize_s21(model: TwoPortModel, f_hz=None) -> Spectrum:
     f = np.asarray(f_hz, dtype=float)
     wc, ws, gc, gs, ge1, ge2 = _half_rates(model)
     g = _coupling_rate(model.sys)
-    w = 2.0 * np.pi * f
-    denom = 1j * (wc - w) + gc + ge1 + ge2
+    # Evaluated in place, one ufunc per operation, in the order of
+    # sqrt(ge1*ge2) / (1j*(wc - w) + gc + ge1 + ge2 + g*g / (1j*(ws - w) + gs)):
+    # the same roundings as the expression, without its ~10 band-sized
+    # temporaries per call.
+    w = np.multiply(2.0 * np.pi, f)
+    s21 = np.subtract(wc, w, out=np.empty(f.shape, dtype=complex))
+    s21 *= 1j
+    s21 += gc
+    s21 += ge1
+    s21 += ge2
+    dead = None
     if g != 0.0:
-        inner = 1j * (ws - w) + gs
+        inner = np.subtract(ws, w, out=np.empty(f.shape, dtype=complex))
+        inner *= 1j
+        inner += gs
         dead = inner == 0  # lossless puck hit exactly on grid -> perfect zero
+        inner[dead] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            denom = denom + g * g / np.where(dead, 1.0, inner)
-        s21 = np.sqrt(ge1 * ge2) / denom
+            s21 += np.true_divide(g * g, inner, out=inner)
+    np.true_divide(np.sqrt(ge1 * ge2), s21, out=s21)
+    if dead is not None:
         s21[dead] = 0.0
-    else:
-        s21 = np.sqrt(ge1 * ge2) / denom
     meta = {
         "source": "synthesized",
         "f_sto_hz": model.sys.f_sto_hz,
@@ -165,9 +175,10 @@ def phase_curve(spec: Spectrum) -> np.ndarray:
     the straight line between their complex neighbors, which keeps the
     unwrap continuous across a lossless notch.
     """
-    s = spec.s21.copy()
+    s = spec.s21
     dead = s == 0
     if np.any(dead):
+        s = s.copy()
         idx = np.flatnonzero(dead)
         for i in idx:
             left = s[i - 1] if i > 0 else s[i + 1]
@@ -272,18 +283,86 @@ def _refine(f, y, i, lo=None, hi=None):
     return f[i], y[i]
 
 
+def _local_maxima(y: np.ndarray) -> np.ndarray:
+    """Indices of the local maxima of y, in increasing order.
+
+    A sample is a maximum when y rises strictly into it and falls strictly
+    out of it, so a shoulder such as [1, 3, 3, 5] holds none.  A flat top
+    counts once, at its middle sample (the left one of the two middle
+    samples when it is even), and the first and last samples are never
+    maxima.  tests/test_network.py checks these rules against the common
+    signal-processing peak finder on randomized traces.
+    """
+    y = np.asarray(y)
+    inner = y[1:-1]
+    is_max = (inner > y[:-2]) & (inner > y[2:])  # is_max[i] is sample i + 1
+    # flat runs: maximal stretches of equal neighbours, found from the ties
+    # alone, so a trace without ties (every dense spectrum) pays one compare
+    ties = np.flatnonzero(y[1:] == y[:-1])  # y[t] == y[t + 1]
+    first = ties[np.diff(ties, prepend=-2) != 1]
+    last = ties[np.diff(ties, append=-2) != 1] + 1
+    inside = (first > 0) & (last < y.size - 1)
+    first, last = first[inside], last[inside]
+    top = (y[first - 1] < y[first]) & (y[last + 1] < y[last])
+    is_max[(first[top] + last[top]) // 2 - 1] = True
+    return np.flatnonzero(is_max) + 1
+
+
+def _lowest_reach(heights, seg_mins):
+    """For each peak in order, the lowest sample from it back to the nearest
+    strictly higher peak (or the trace end): a monotonic stack over the
+    peak heights, where seg_mins[k] is the lowest sample between peak k and
+    the one before it."""
+    reach = []
+    stack_h, stack_low = [], []  # peaks not yet topped, heights descending
+    for h, low in zip(heights, seg_mins):
+        while stack_h and stack_h[-1] <= h:
+            stack_h.pop()
+            top_low = stack_low.pop()
+            if top_low < low:
+                low = top_low
+        stack_h.append(h)
+        stack_low.append(low)
+        reach.append(low)
+    return np.asarray(reach)
+
+
+def _prominences(y: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominence of each of the local maxima y[peaks].
+
+    The height of the peak over the higher of its two bases, where a base
+    is the lowest sample between the peak and the nearest strictly higher
+    sample on that side (or the trace end).  The nearest higher sample is
+    always reached through a higher local maximum, or through a rise to
+    the trace end that holds nothing lower, so only the minima between
+    consecutive maxima are needed: O(n) for the minima, O(k) for the stacks,
+    where a scan per peak would cost O(n k) on a noisy trace.
+    """
+    if peaks.size == 0:
+        return np.empty(0)
+    # mins[0] lies before the first peak, mins[k] between peaks k-1 and k,
+    # mins[-1] after the last peak
+    mins = np.minimum.reduceat(y, np.concatenate(([0], peaks)))
+    heights = y[peaks].tolist()
+    left = _lowest_reach(heights, mins[:-1].tolist())
+    right = _lowest_reach(heights[::-1], mins[:0:-1].tolist())[::-1]
+    return y[peaks] - np.maximum(left, right)
+
+
 def find_peaks_and_notch(spec: Spectrum) -> PeakNotchSummary:
     """Locate the two hybridized peaks and the transmission notch between them.
 
-    Requires exactly two local maxima of |S21| standing at least 3 dB proud
-    of the valley between them; anything else raises
+    Requires exactly two local maxima of |S21| (_local_maxima) with at least
+    3 dB of prominence (_prominences), each also standing 3 dB proud of the
+    valley between the two; anything else raises
     PeaksNotResolvedError carrying the strongest single peak found.  All
     three features are refined with a three-point parabola in
     log-magnitude.
     """
     db = _mag_db(spec.s21)
     f = spec.f_hz
-    peaks, _ = _scipy_find_peaks(db, prominence=3.0)
+    peaks = _local_maxima(db)
+    peaks = peaks[_prominences(db, peaks) >= 3.0]
     if peaks.size != 2:
         if peaks.size == 0:
             best = int(np.argmax(db))

@@ -424,6 +424,19 @@ def test_modes_requires_an_operating_point(capsys):
     assert "one of the arguments --eps-r --temp is required" in err
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test oracle only; importing it would cost every CLI call ~1 s
+    env = dict(os.environ)
+    src = str(Path(cavpuck.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cavpuck.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, ["--version"])
     assert code == 0

@@ -2,17 +2,20 @@
 location, phase analysis, and the CSV round trip."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from conftest import REF_F_CAV, REF_Q_EXT, driven_model
+from conftest import REF_F_CAV, REF_Q_EXT, driven_model, with_noise
 from cavpuck.cmt import CoupledSystem, coupled_eigenmodes
 from cavpuck.errors import GridTooCoarseError, PeaksNotResolvedError
 from cavpuck.extract import fit_lorentzian, q_three_db
 from cavpuck.network import (
     Spectrum,
     TwoPortModel,
+    _local_maxima,
+    _prominences,
     default_frequency_grid,
     find_peaks_and_notch,
     phase_curve,
@@ -192,6 +195,94 @@ def test_single_peak_raises_with_its_location():
     with pytest.raises(PeaksNotResolvedError, match="found 1") as exc_info:
         find_peaks_and_notch(synthesize_s21(model))
     assert exc_info.value.single_peak_hz == pytest.approx(REF_F_CAV, abs=1.0)
+
+
+@pytest.mark.parametrize(
+    "trace, maxima",
+    [
+        ([0, 1, 0], [1]),
+        ([0, 2, 2, 2, 0], [2]),            # flat top: its middle sample
+        ([0, 2, 2, 2, 2, 0], [2]),         # even flat top: left of the middle pair
+        ([1, 3, 3, 5], []),                # shoulder on a rise
+        ([5, 3, 3, 1], []),                # shoulder on a fall
+        ([0, 3, 3, 5, 4], [3]),
+        ([4, 1, 2, 1, 4], [2]),            # the end samples are never maxima
+        ([2, 2, 1, 1, 3, 3], []),          # flat runs into both ends
+        ([0, 1, 1, 0, 1, 1, 0], [1, 4]),
+        ([1, 1, 1, 1], []),
+        ([1, 2], []),
+        ([], []),
+    ],
+)
+def test_local_maxima_fixtures(trace, maxima):
+    assert _local_maxima(np.asarray(trace, dtype=float)).tolist() == maxima
+
+
+def test_prominence_fixtures():
+    # the two middle peaks share a height, so each base lies past the other
+    y = np.array([0.0, 2.0, 4.0, 3.0, 4.0, 2.0, 0.0, 2.0, 0.0])
+    peaks = _local_maxima(y)
+    assert peaks.tolist() == [2, 4, 7]
+    assert _prominences(y, peaks).tolist() == [4.0, 4.0, 2.0]
+    # a sawtooth rising to a flat top and falling back: each tooth's walk
+    # runs to the trace end on one side and stops after one sample on the
+    # other, so every tooth stands 0.5 over its base and the top all of 1000.5
+    rise = np.arange(2000) // 2 + 1.5 * (np.arange(2000) % 2)
+    y = np.concatenate([rise, rise[::-1]])
+    peaks = _local_maxima(y)
+    assert peaks.size == 1999 and peaks[999] == 1999
+    expected = np.full(peaks.size, 0.5)
+    expected[999] = 1000.5
+    np.testing.assert_array_equal(_prominences(y, peaks), expected)
+
+
+def test_equal_height_peaks_over_a_shallow_valley_are_refused():
+    # both peaks have 4 dB of prominence, but stand only 1 dB over the
+    # valley between them
+    db = np.array([0, 2, 4, 3, 4, 2, 0, 2, 0], dtype=float)
+    spec = Spectrum(np.arange(db.size) + 1e9, 10.0 ** (db / 20.0))
+    with pytest.raises(PeaksNotResolvedError, match="less than 3 dB above") as exc_info:
+        find_peaks_and_notch(spec)
+    assert exc_info.value.single_peak_hz == pytest.approx(1e9 + 2.0, abs=0.5)
+
+
+def test_noisy_spectrum_with_20k_maxima_is_refused_quickly(canonical):
+    _, spec = canonical
+    noisy = with_noise(spec, 40.0, 0)
+    assert _local_maxima(np.abs(noisy.s21)).size > 20000
+    t0 = time.perf_counter()
+    with pytest.raises(PeaksNotResolvedError, match="expected two resolved peaks"):
+        find_peaks_and_notch(noisy)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _random_trace(rng, kind):
+    n = int(rng.integers(0, 80))
+    if kind == 0:
+        return rng.normal(size=n)
+    if kind == 1:  # few levels: flat tops, shoulders and ties everywhere
+        return rng.integers(0, 4, size=n).astype(float)
+    if kind == 2:  # a rounded random walk: long flat runs at varied heights
+        return np.round(np.cumsum(rng.normal(size=n)))
+    return np.repeat(rng.normal(size=(n + 2) // 3), 3)[:n]  # plateaus of three
+
+
+def test_peak_rules_match_scipy_on_random_traces():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(20241018)
+    for trial in range(5000):
+        y = _random_trace(rng, trial % 4)
+        ref, _ = signal.find_peaks(y)
+        peaks = _local_maxima(y)
+        np.testing.assert_array_equal(peaks, ref, err_msg=str(y.tolist()))
+        prom = _prominences(y, peaks)
+        if ref.size:
+            np.testing.assert_array_equal(
+                prom, signal.peak_prominences(y, ref)[0], err_msg=str(y.tolist())
+            )
+        threshold = float(rng.uniform(0.0, 3.0))
+        ref, _ = signal.find_peaks(y, prominence=threshold)
+        np.testing.assert_array_equal(peaks[prom >= threshold], ref, err_msg=str(y.tolist()))
 
 
 # ---------------------------------------------------------------------------
