@@ -10,16 +10,16 @@ routes so they can cross-check each other:
   linewidths unless a window is given.
 * phase slope     — the phase-derivative extremum; for a Lorentzian the
   peak of |dphi/df| equals 2 Q_loaded / f0.  The extremum value is read
-  off a least-squares arctangent model of the unwrapped phase, because
-  finite-differencing a measured phase trace amplifies noise far past the
-  slope being estimated.
+  off a least-squares arctangent model of the unwrapped phase over +-4
+  seed linewidths, because finite-differencing a measured phase trace
+  amplifies noise far past the slope itself; a failed seed or fit raises.
 
 The estimates share scaffolding (windowing, the Levenberg-Marquardt loop)
 but consume different aspects of the data — magnitude crossings, the full
 power shape, the phase swing — so they still cross-check each other.
-Every local-maximum search here (the 3 dB peak, the phase-derivative
-extremum, the neighbours that clip the Lorentzian window) uses the one
-rule of the network peak finder, network._local_maxima.
+Every local-maximum search here (the 3 dB peak, the neighbours that clip
+the Lorentzian window, the phase-derivative extrema of the Q products)
+uses the one rule of the network peak finder, network._local_maxima.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ import numpy as np
 
 from .errors import (
     BandEdgeClippedError,
+    GridTooCoarseError,
     NoConvergenceError,
     PeaksNotResolvedError,
 )
 from .network import (
     Spectrum,
+    _check_grid_resolution,
     _local_maxima,
     _refine,
     find_peaks_and_notch,
@@ -95,6 +97,19 @@ def _window(spec: Spectrum, near_hz: float, window_hz: float | None) -> slice:
     return slice(int(sel[0]), int(sel[-1]) + 1)
 
 
+def _nearest_index(f, x) -> int:
+    """argmin |f - x| on the increasing grid f (lower sample on a tie), by bisection."""
+    j = min(max(int(np.searchsorted(f, x)), 1), f.size - 1)
+    return j - 1 if x - f[j - 1] <= f[j] - x else j
+
+
+def _trace(spec: Spectrum, near_hz: float, window_hz: float | None):
+    """(f, |S21|^2, median grid step) over the analysis window."""
+    sel = _window(spec, near_hz, window_hz)
+    f = spec.f_hz[sel]
+    return f, np.abs(spec.s21[sel]) ** 2, float(np.median(np.diff(f))) if f.size > 1 else 1.0
+
+
 def _nearest_local_max(f, y, near_hz):
     peaks = _local_maxima(y)
     if peaks.size == 0:
@@ -138,25 +153,12 @@ def _three_db_core(f, power, near_hz):
     return f0, peak_db, cross(+1), cross(-1)
 
 
-def q_three_db(spec: Spectrum, near_hz: float, window_hz: float | None = None) -> ResonanceEstimate:
-    """Half-power-bandwidth estimate of the resonance nearest near_hz.
-
-    Crossings are found by walking outward from the refined peak and
-    linearly interpolating in the dB domain; if either crossing runs off
-    the grid (or the analysis window) the band is too narrow and
-    BandEdgeClippedError is raised.  A first raw pass sets the linewidth
-    scale; the reported numbers come from a second pass over a trace
-    averaged to about a twelfth of that linewidth, which suppresses noise
-    on the crossings while biasing an ideal resonance by under 0.5%.
-    """
-    sel = _window(spec, near_hz, window_hz)
-    f = spec.f_hz[sel]
-    power = np.abs(spec.s21[sel]) ** 2
+def _three_db(f, power, step, near_hz) -> ResonanceEstimate:
+    """q_three_db on the power trace |S21|^2 over f, whose median step is step."""
     if np.all(power == 0):
         raise PeaksNotResolvedError("spectrum is identically zero in the window")
     f0, peak_db, f_hi, f_lo = _three_db_core(f, power, near_hz)
 
-    step = float(np.median(np.diff(f))) if f.size > 1 else 1.0
     points_per_lw = (f_hi - f_lo) / step
     f_s, power_s = _boxcar(f, power, round(points_per_lw / 12.0))
     if power_s is not power:
@@ -171,6 +173,20 @@ def q_three_db(spec: Spectrum, near_hz: float, window_hz: float | None = None) -
         amplitude=10.0 ** (peak_db / 20.0),
         method=Method.THREE_DB,
     )
+
+
+def q_three_db(spec: Spectrum, near_hz: float, window_hz: float | None = None) -> ResonanceEstimate:
+    """Half-power-bandwidth estimate of the resonance nearest near_hz.
+
+    Crossings are found by walking outward from the refined peak and
+    linearly interpolating in the dB domain; if either crossing runs off
+    the grid (or the analysis window) the band is too narrow and
+    BandEdgeClippedError is raised.  A first raw pass sets the linewidth
+    scale; the reported numbers come from a second pass over a trace
+    averaged to about a twelfth of that linewidth, which suppresses noise
+    on the crossings while biasing an ideal resonance by under 0.5%.
+    """
+    return _three_db(*_trace(spec, near_hz, window_hz), near_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +317,8 @@ def _least_squares(model, y, p0, *, accept=None, max_iter=100):
     )
 
 
-def _fit_window(spec: Spectrum, seed: ResonanceEstimate) -> slice:
-    """Slice of the default Lorentzian window.
+def _fit_window(f, power, step, seed: ResonanceEstimate) -> slice:
+    """Slice of f for the default Lorentzian window (power is |S21|^2 over f).
 
     +-10 seed linewidths about the seed f0, clipped on each side at the
     midpoint to the nearest other resonance there.  That is a local maximum
@@ -314,13 +330,11 @@ def _fit_window(spec: Spectrum, seed: ResonanceEstimate) -> slice:
     narrower than the average, and at 20 dB SNR or better it seldom rises
     that high and dips that deep; a weaker neighbour is left in the window.
     """
-    f = spec.f_hz
     f0 = seed.f0_hz
     lw = f0 / seed.q_loaded
     lo, hi = f0 - _FIT_HALF_WIDTH * lw, f0 + _FIT_HALF_WIDTH * lw
-    step = float(np.median(np.diff(f))) if f.size > 1 else 1.0
-    fs, ps = _boxcar(f, np.abs(spec.s21) ** 2, round(0.25 * lw / step))
-    i = int(np.argmin(np.abs(fs - f0)))
+    fs, ps = _boxcar(f, power, round(0.25 * lw / step))
+    i = _nearest_index(fs, f0)
     maxima = _local_maxima(ps)
     maxima = maxima[ps[maxima] >= _OTHER_PEAK_MIN * ps[i]]
     above = maxima[maxima > i]
@@ -337,10 +351,8 @@ def _fit_window(spec: Spectrum, seed: ResonanceEstimate) -> slice:
     return slice(int(start), int(stop))
 
 
-def _fit_power(spec: Spectrum, sel, seed: ResonanceEstimate) -> ResonanceEstimate:
-    """Lorentzian plus constant on |S21|^2 over spec[sel], from seed's f0 and Q."""
-    f = spec.f_hz[sel]
-    y = np.abs(spec.s21[sel]) ** 2
+def _fit_power(f, y, seed: ResonanceEstimate) -> ResonanceEstimate:
+    """Lorentzian plus constant on y = |S21|^2 over f, from seed's f0 and Q."""
     y_ref = float(np.max(y))
     yn = y / y_ref
     det = _Detuning(seed.f0_hz, seed.q_loaded)
@@ -374,16 +386,19 @@ def fit_lorentzian(spec: Spectrum, near_hz: float, window_hz: float | None = Non
     well conditioned at any Q and scale.  NoConvergenceError carries the
     last iterate.
     """
-    seed = q_three_db(spec, near_hz, window_hz)
+    f, power, step = _trace(spec, near_hz, window_hz)  # shared by the seed and the windows
+    seed = _three_db(f, power, step, near_hz)
     if window_hz is not None:
-        return _fit_power(spec, _window(spec, near_hz, window_hz), seed)
+        return _fit_power(f, power, seed)
     try:
-        est = _fit_power(spec, _fit_window(spec, seed), seed)
+        w = _fit_window(f, power, step, seed)
+        est = _fit_power(f[w], power[w], seed)
     except (ValueError, NoConvergenceError):
         est = None
     if est is None or not 0.5 < est.q_loaded / seed.q_loaded < 2.0:
-        rough = _fit_power(spec, slice(None), seed)
-        est = _fit_power(spec, _fit_window(spec, rough), rough)
+        rough = _fit_power(f, power, seed)
+        w = _fit_window(f, power, step, rough)
+        est = _fit_power(f[w], power[w], rough)
     return est
 
 
@@ -391,58 +406,42 @@ def q_phase_slope(spec: Spectrum, near_hz: float, window_hz: float | None = None
     """Loaded Q from the phase-derivative extremum nearest near_hz.
 
     Q = f0 * |dphi/df|_peak / 2.  The extremum value is read off a
-    least-squares arctangent model of the unwrapped phase around the
-    resonance (weighted by |S21|^2, the inverse phase-noise variance),
-    because finite differences of a measured phase trace carry noise on
-    the order of the slope itself.  If the 3 dB pre-pass or the model fit
-    fails, the raw finite-difference extremum is used instead.
+    least-squares arctangent model of the unwrapped phase (weighted by
+    |S21|^2, the inverse phase-noise variance) over +-4 linewidths of the
+    3 dB seed, because finite differences of a measured phase trace carry
+    noise on the order of the slope itself.  Raises GridTooCoarseError as
+    phase_derivative does or on a fit window under 8 samples,
+    PeaksNotResolvedError on an S21 constant over the window, and whatever
+    the 3 dB seed or the fit raises (BandEdgeClippedError, NoConvergenceError).
     """
-    dphi = phase_derivative(spec)
+    _check_grid_resolution(spec)
     sel = _window(spec, near_hz, window_hz)
-    f = spec.f_hz[sel]
-    a = np.abs(dphi[sel])
-    if np.ptp(a) == 0.0:
+    s21 = spec.s21[sel]
+    if np.all(s21 == s21[0]):
         raise PeaksNotResolvedError("phase derivative has no extremum in the window")
-    i = _nearest_local_max(f, a, near_hz)
-    f_raw, a_raw = _refine(f, a, i)
-    f0, value = f_raw, a_raw
-
-    try:
-        seed = q_three_db(spec, near_hz, window_hz)
-    except (BandEdgeClippedError, PeaksNotResolvedError):
-        seed = None
-    if seed is not None:
-        lw = seed.f0_hz / seed.q_loaded
-        fit_sel = np.flatnonzero(np.abs(f - seed.f0_hz) <= 4.0 * lw)
-        if fit_sel.size >= 8:
-            s21 = spec.s21[sel][fit_sel]
-            phase = np.unwrap(np.angle(s21))
-            det = _Detuning(seed.f0_hz, seed.q_loaded)
-            t = det.t(f[fit_sel])
-            sw = np.abs(s21) / float(np.max(np.abs(s21)))  # sqrt of weights |S21|^2
-            p0 = [
-                float(phase[np.argmin(np.abs(t))]),
-                float(phase[-1] - phase[0]) / math.pi,
-                0.0,
-                1.0,
-            ]
-            try:
-                p, _ = _least_squares(
-                    _phase_model(det, t, sw), sw * phase, p0,
-                    accept=lambda p: det.valid(p[2], p[3]),
-                )
-            except NoConvergenceError:
-                pass
-            else:
-                # the model's own derivative extremum: |dphi/df| = 2|swing| Q / f0
-                f0 = det.f0(float(p[2]))
-                value = 2.0 * abs(float(p[1])) * det.q(float(p[3])) / f0
-
-    idx_amp = int(np.argmin(np.abs(spec.f_hz - f0)))
+    seed = q_three_db(spec, near_hz, window_hz)
+    f = spec.f_hz[sel]
+    lw = seed.f0_hz / seed.q_loaded
+    start = np.searchsorted(f, seed.f0_hz - 4.0 * lw, "left")
+    stop = np.searchsorted(f, seed.f0_hz + 4.0 * lw, "right")
+    if stop - start < 8:
+        raise GridTooCoarseError("phase fit window (+-4 seed linewidths) has under 8 samples")
+    s21 = s21[start:stop]
+    phase = np.unwrap(np.angle(s21))
+    det = _Detuning(seed.f0_hz, seed.q_loaded)
+    t = det.t(f[start:stop])
+    sw = np.abs(s21) / float(np.max(np.abs(s21)))  # sqrt of weights |S21|^2
+    p0 = [float(phase[np.argmin(np.abs(t))]), float(phase[-1] - phase[0]) / math.pi, 0.0, 1.0]
+    p, _ = _least_squares(
+        _phase_model(det, t, sw), sw * phase, p0, accept=lambda p: det.valid(p[2], p[3])
+    )
+    # the model's own derivative extremum: |dphi/df| = 2|swing| Q / f0
+    f0 = det.f0(float(p[2]))
+    slope = 2.0 * abs(float(p[1])) * det.q(float(p[3])) / f0
     return ResonanceEstimate(
         f0_hz=f0,
-        q_loaded=f0 * abs(value) / 2.0,
-        amplitude=float(np.abs(spec.s21[idx_amp])),
+        q_loaded=f0 * slope / 2.0,
+        amplitude=float(np.abs(spec.s21[_nearest_index(spec.f_hz, f0)])),
         method=Method.PHASE_SLOPE,
     )
 

@@ -16,6 +16,7 @@ from conftest import (
 from cavpuck.cmt import coupled_eigenmodes
 from cavpuck.errors import (
     BandEdgeClippedError,
+    GridTooCoarseError,
     NoConvergenceError,
     PeaksNotResolvedError,
 )
@@ -31,7 +32,12 @@ from cavpuck.extract import (
     sensitivity_q_product,
     sensitivity_to_eps,
 )
-from cavpuck.network import Spectrum, find_peaks_and_notch, synthesize_s21
+from cavpuck.network import (
+    Spectrum,
+    default_frequency_grid,
+    find_peaks_and_notch,
+    synthesize_s21,
+)
 from cavpuck.resonator import (
     DielectricPuck,
     eps_for_frequency,
@@ -170,6 +176,32 @@ def test_estimators_agree_on_the_cli_default_two_mode_spectrum():
             assert q == pytest.approx(q_model, rel=0.02)
 
 
+# q_phase_slope on both peaks of a 60 dB SNR (noise seed 7), 100,001-point
+# paper-room spectrum (eps_r 230, kappa 0.03) spanning five splittings
+# either side of the pair: (f0_hz, q_loaded), unwindowed and in a
+# 5-linewidth window alike.
+PHASE_SLOPE_GOLDENS = (
+    (1248385425.6274133, 8699.556247448),
+    (1307114853.5974953, 22303.781566235044),
+)
+
+
+def test_phase_slope_goldens_on_a_noisy_two_mode_spectrum():
+    model = bundled_scenario("paper-room").two_port(eps_r=230.0, kappa=0.03)
+    pair = coupled_eigenmodes(model.sys)
+    center, split = 0.5 * (pair.f1_hz + pair.f2_hz), pair.f2_hz - pair.f1_hz
+    clean = synthesize_s21(model, np.linspace(center - 5 * split, center + 5 * split, 100_001))
+    noisy = with_noise(clean, 60.0, 7)
+    summary = find_peaks_and_notch(clean)
+    ext = 1.0 / model.q_ext1 + 1.0 / model.q_ext2
+    peaks = ((summary.f_peak1_hz, pair.q1), (summary.f_peak2_hz, pair.q2))
+    for (f_peak, q_mode), (f0, q) in zip(peaks, PHASE_SLOPE_GOLDENS):
+        for window_hz in (None, 5.0 * f_peak * (1.0 / q_mode + ext)):
+            est = q_phase_slope(noisy, f_peak, window_hz)
+            assert est.f0_hz == pytest.approx(f0, rel=1e-12)
+            assert est.q_loaded == pytest.approx(q, rel=1e-12)
+
+
 def test_default_window_stops_short_of_a_close_neighbour():
     # two equal resonances 8 linewidths apart: a fixed +-10-linewidth window
     # takes in the neighbour, the default one stops halfway to it
@@ -295,6 +327,32 @@ def test_flat_phase_has_no_slope_extremum():
     flat = Spectrum(f, np.full(501, 0.25 + 0.1j))
     with pytest.raises(PeaksNotResolvedError, match="no extremum"):
         q_phase_slope(flat, 1.05e9)
+
+
+def test_phase_slope_raises_when_its_seed_fails():
+    # a window inside the half-power points clips the 3 dB seed; the error
+    # propagates instead of a finite-difference Q being returned
+    spec = lorentzian_spectrum(1.3e9, 1e4)
+    with pytest.raises(BandEdgeClippedError, match="half-power crossing"):
+        q_phase_slope(spec, 1.3e9, window_hz=0.3 * 1.3e9 / 1e4)
+
+
+def test_phase_slope_refuses_a_fit_window_under_eight_samples():
+    # one sample per linewidth: +-4 seed linewidths are too few to fit
+    sparse = lorentzian_spectrum(1.3e9, 1e4, n=41)
+    with pytest.raises(GridTooCoarseError, match="under 8 samples"):
+        q_phase_slope(sparse, 1.3e9)
+
+
+def test_phase_slope_refuses_an_unresolved_model_grid():
+    # the cavity-like mode at eps_r = 300 is unresolved on this grid, so the
+    # refusal comes before any window is read, even one on the lower mode
+    model = driven_model(300.0)
+    spec = synthesize_s21(model, default_frequency_grid(model, n=20001))
+    f1 = coupled_eigenmodes(model.sys).f1_hz
+    for window_hz in (None, 1e6):
+        with pytest.raises(GridTooCoarseError, match="points per linewidth"):
+            q_phase_slope(spec, f1, window_hz)
 
 
 def test_solver_reports_the_last_iterate_on_nonconvergence():
