@@ -1,10 +1,10 @@
 """cavpuck: coupled-mode toolkit for a dielectric puck in a microwave cavity.
 
-Layering, bottom up: materials (permittivity/loss vs temperature),
-resonator (puck and cavity geometry), cmt (two-mode hybridization),
-network (driven S21), extract (f0/Q estimators), sensitivity (thermal
-responsivity), sweep (deterministic parameter scans), scenario/cli
-(configuration and command line).
+Layering, bottom up: _csvfile (the one CSV table format), materials
+(permittivity/loss vs temperature), resonator (puck and cavity geometry),
+cmt (two-mode hybridization), network (driven S21), extract (f0/Q
+estimators), sensitivity (thermal responsivity), sweep (deterministic
+parameter scans), scenario/cli (configuration and command line).
 """
 
 __version__ = "0.1.0"

@@ -84,17 +84,28 @@ def q_internal_from_loaded(q_loaded: float, insertion_loss_db: float) -> float:
 
 
 def _window(spec: Spectrum, near_hz: float, window_hz: float | None) -> slice:
-    """Slice of the samples within window_hz of near_hz (all with no window).
+    """Slice of the samples f with abs(f - near_hz) <= window_hz (all with no window).
 
-    The grid is strictly increasing, so the selection is contiguous and
-    indexing with it takes a view, not a copy of the band.
+    The grid is strictly increasing, so the selection is contiguous: two
+    bisections on the rounded bounds near_hz -+ window_hz find it, then each
+    end settles on the predicate itself.  Indexing with it takes a view.
     """
     if window_hz is None:
         return slice(None)
-    sel = np.flatnonzero(np.abs(spec.f_hz - near_hz) <= window_hz)
-    if sel.size < 5:
+    f = spec.f_hz
+    lo = int(np.searchsorted(f, near_hz - window_hz, "left"))
+    hi = int(np.searchsorted(f, near_hz + window_hz, "right"))
+    while lo > 0 and abs(f[lo - 1] - near_hz) <= window_hz:
+        lo -= 1
+    while lo < hi and not abs(f[lo] - near_hz) <= window_hz:
+        lo += 1
+    while hi < f.size and abs(f[hi] - near_hz) <= window_hz:
+        hi += 1
+    while hi > lo and not abs(f[hi - 1] - near_hz) <= window_hz:
+        hi -= 1
+    if hi - lo < 5:
         raise ValueError("analysis window contains fewer than 5 samples")
-    return slice(int(sel[0]), int(sel[-1]) + 1)
+    return slice(lo, hi)
 
 
 def _nearest_index(f, x) -> int:
@@ -103,11 +114,10 @@ def _nearest_index(f, x) -> int:
     return j - 1 if x - f[j - 1] <= f[j] - x else j
 
 
-def _trace(spec: Spectrum, near_hz: float, window_hz: float | None):
-    """(f, |S21|^2, median grid step) over the analysis window."""
-    sel = _window(spec, near_hz, window_hz)
+def _trace(spec: Spectrum, sel: slice):
+    """(f, |S21|^2, median grid step) over the samples sel."""
     f = spec.f_hz[sel]
-    return f, np.abs(spec.s21[sel]) ** 2, float(np.median(np.diff(f))) if f.size > 1 else 1.0
+    return f, np.abs(spec.s21[sel]) ** 2, float(np.median(np.diff(f)))
 
 
 def _nearest_local_max(f, y, near_hz):
@@ -186,7 +196,7 @@ def q_three_db(spec: Spectrum, near_hz: float, window_hz: float | None = None) -
     averaged to about a twelfth of that linewidth, which suppresses noise
     on the crossings while biasing an ideal resonance by under 0.5%.
     """
-    return _three_db(*_trace(spec, near_hz, window_hz), near_hz)
+    return _three_db(*_trace(spec, _window(spec, near_hz, window_hz)), near_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +396,8 @@ def fit_lorentzian(spec: Spectrum, near_hz: float, window_hz: float | None = Non
     well conditioned at any Q and scale.  NoConvergenceError carries the
     last iterate.
     """
-    f, power, step = _trace(spec, near_hz, window_hz)  # shared by the seed and the windows
+    # one trace, shared by the seed and the windows
+    f, power, step = _trace(spec, _window(spec, near_hz, window_hz))
     seed = _three_db(f, power, step, near_hz)
     if window_hz is not None:
         return _fit_power(f, power, seed)
@@ -419,8 +430,8 @@ def q_phase_slope(spec: Spectrum, near_hz: float, window_hz: float | None = None
     s21 = spec.s21[sel]
     if np.all(s21 == s21[0]):
         raise PeaksNotResolvedError("phase derivative has no extremum in the window")
-    seed = q_three_db(spec, near_hz, window_hz)
-    f = spec.f_hz[sel]
+    f, power, step = _trace(spec, sel)
+    seed = _three_db(f, power, step, near_hz)
     lw = seed.f0_hz / seed.q_loaded
     start = np.searchsorted(f, seed.f0_hz - 4.0 * lw, "left")
     stop = np.searchsorted(f, seed.f0_hz + 4.0 * lw, "right")

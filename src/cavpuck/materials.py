@@ -9,11 +9,11 @@ dimensionless.  Quality factor of the dielectric is 1/tan(delta).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvfile import read_table
 from .errors import OutOfRangeError
 
 # Room-temperature anchors for SrTiO3-like high-permittivity dielectrics.
@@ -139,39 +139,13 @@ def eval_loss_q(model, t_k: float) -> float:
 
 
 def load_permittivity_csv(path) -> TablePermittivity:
-    t, v = _read_two_column_csv(path, ("T_K", "eps_r"))
-    return TablePermittivity(t, v)
+    _, rows, _ = read_table(path, [("T_K", "eps_r")])
+    return TablePermittivity(tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist()))
 
 
 def load_loss_csv(path) -> TableLoss:
-    t, v = _read_two_column_csv(path, ("T_K", "tan_delta"))
-    return TableLoss(t, v)
-
-
-def _read_two_column_csv(path, expected_header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        header = tuple(h.strip() for h in header)
-        if header != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {','.join(header)!r}"
-            )
-        t, v = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                t.append(float(row[0]))
-                v.append(float(row[1]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-    return tuple(t), tuple(v)
+    _, rows, _ = read_table(path, [("T_K", "tan_delta")])
+    return TableLoss(tuple(rows[:, 0].tolist()), tuple(rows[:, 1].tolist()))
 
 
 def _validate_table(t, v, what):

@@ -20,11 +20,11 @@ a measured spectrum reads out f_sto directly, mode pulling notwithstanding.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._csvfile import meta_block, read_table
 from .cmt import CoupledSystem, coupled_eigenmodes
 from .errors import GridTooCoarseError, PeaksNotResolvedError
 
@@ -81,12 +81,6 @@ class Spectrum:
             raise ValueError("frequency grid must be strictly increasing")
 
 
-def _coupling_rate(sys: CoupledSystem) -> float:
-    wc = 2.0 * np.pi * sys.f_cav_hz
-    ws = 2.0 * np.pi * sys.f_sto_hz
-    return sys.kappa * np.sqrt(wc * ws) / 2.0
-
-
 def _half_rates(model: TwoPortModel):
     sys = model.sys
     wc = 2.0 * np.pi * sys.f_cav_hz
@@ -104,7 +98,7 @@ def synthesize_s21(model: TwoPortModel, f_hz=None) -> Spectrum:
         f_hz = default_frequency_grid(model)
     f = np.asarray(f_hz, dtype=float)
     wc, ws, gc, gs, ge1, ge2 = _half_rates(model)
-    g = _coupling_rate(model.sys)
+    g = model.sys.kappa * np.sqrt(wc * ws) / 2.0  # coupling rate
     # Evaluated in place, one ufunc per operation, in the order of
     # sqrt(ge1*ge2) / (1j*(wc - w) + gc + ge1 + ge2 + g*g / (1j*(ws - w) + gs)):
     # the same roundings as the expression, without its ~10 band-sized
@@ -150,17 +144,12 @@ def default_frequency_grid(model: TwoPortModel, n: int | None = None) -> np.ndar
     will then refuse with GridTooCoarseError and a narrower explicit grid
     around the feature is the way to go.
     """
-    pair = coupled_eigenmodes(model.sys)
-    ext = 1.0 / model.q_ext1 + 1.0 / model.q_ext2
-    lws = [
-        pair.f1_hz * (1.0 / pair.q1 + ext),
-        pair.f2_hz * (1.0 / pair.q2 + ext),
-    ]
-    center = 0.5 * (pair.f1_hz + pair.f2_hz)
-    delta = max(pair.f2_hz - pair.f1_hz, 20.0 * max(lws))
+    (f1, lw1), (f2, lw2) = _loaded_modes(model.sys, model.q_ext1, model.q_ext2)
+    center = 0.5 * (f1 + f2)
+    delta = max(f2 - f1, 20.0 * max(lw1, lw2))
     span = 10.0 * delta
     if n is None:
-        need = int(np.ceil(span / (min(lws) / _MIN_POINTS_PER_LINEWIDTH))) + 1
+        need = int(np.ceil(span / (min(lw1, lw2) / _MIN_POINTS_PER_LINEWIDTH))) + 1
         n = min(max(_DEFAULT_GRID_POINTS, need), _MAX_GRID_POINTS)
     lo = center - 5.0 * delta
     if lo <= 0:
@@ -200,6 +189,13 @@ def phase_derivative(spec: Spectrum) -> np.ndarray:
     return np.gradient(phase_curve(spec), spec.f_hz)
 
 
+def _loaded_modes(sys: CoupledSystem, q_ext1: float, q_ext2: float):
+    """(frequency, loaded linewidth) of each coupled mode, f_i (1/Q_i + 1/Q_ext1 + 1/Q_ext2)."""
+    pair = coupled_eigenmodes(sys)
+    ext = 1.0 / q_ext1 + 1.0 / q_ext2
+    return [(f, f * (1.0 / q + ext)) for f, q in ((pair.f1_hz, pair.q1), (pair.f2_hz, pair.q2))]
+
+
 def _model_features(meta: dict):
     """(frequency, loaded linewidth) pairs predicted by a meta snapshot."""
     keys = ("f_sto_hz", "q_sto", "f_cav_hz", "q_cav", "kappa", "q_ext1", "q_ext2")
@@ -208,12 +204,7 @@ def _model_features(meta: dict):
     sys = CoupledSystem(
         meta["f_sto_hz"], meta["q_sto"], meta["f_cav_hz"], meta["q_cav"], meta["kappa"]
     )
-    pair = coupled_eigenmodes(sys)
-    ext = 1.0 / meta["q_ext1"] + 1.0 / meta["q_ext2"]
-    feats = [
-        (pair.f1_hz, pair.f1_hz * (1.0 / pair.q1 + ext)),
-        (pair.f2_hz, pair.f2_hz * (1.0 / pair.q2 + ext)),
-    ]
+    feats = _loaded_modes(sys, meta["q_ext1"], meta["q_ext2"])
     if np.isfinite(sys.q_sto):
         feats.append((sys.f_sto_hz, sys.f_sto_hz / sys.q_sto))  # notch width
     return feats
@@ -398,56 +389,28 @@ def find_peaks_and_notch(spec: Spectrum) -> PeakNotchSummary:
 # CSV round trip.  Native format is f_hz,s21_re,s21_im at 17 significant
 # digits (exact float64 round trip); import also accepts a dB/phase export.
 
+_NATIVE_HEADER = ("f_hz", "s21_re", "s21_im")
+_DB_PHASE_HEADER = ("f_hz", "s21_db", "s21_phase_rad")
+_ROWS_PER_WRITE = 8192  # a block of rows per write keeps the text small next to the arrays
+
+
 def write_spectrum_csv(spec: Spectrum, path):
     with open(path, "w", newline="") as fh:
-        for key in sorted(spec.meta):
-            fh.write(f"# {key}={spec.meta[key]}\n")
-        fh.write("f_hz,s21_re,s21_im\n")
-        for f, s in zip(spec.f_hz, spec.s21):
-            fh.write(f"{f:.17g},{s.real:.17g},{s.imag:.17g}\n")
+        fh.write(meta_block(spec.meta))
+        fh.write(",".join(_NATIVE_HEADER) + "\n")
+        for lo in range(0, spec.f_hz.size, _ROWS_PER_WRITE):
+            block = slice(lo, lo + _ROWS_PER_WRITE)
+            s21 = spec.s21[block]
+            rows = zip(spec.f_hz[block].tolist(), s21.real.tolist(), s21.imag.tolist())
+            fh.write("".join(f"{f:.17g},{re:.17g},{im:.17g}\n" for f, re, im in rows))
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    meta = {}
-    rows = []
-    header = None
-    with open(path, newline="") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if "=" in body:
-                    k, v = body.split("=", 1)
-                    try:
-                        meta[k.strip()] = float(v.strip())
-                    except ValueError:
-                        meta[k.strip()] = v.strip()
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if header is None:
-                header = tuple(parts)
-                if header not in (
-                    ("f_hz", "s21_re", "s21_im"),
-                    ("f_hz", "s21_db", "s21_phase_rad"),
-                ):
-                    raise ValueError(
-                        f"{path}:{lineno}: unrecognized header {','.join(header)!r}"
-                    )
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value in {line!r}") from None
-    if header is None or not rows:
-        raise ValueError(f"{path}: no data rows")
-    arr = np.asarray(rows, dtype=float)
-    if header == ("f_hz", "s21_re", "s21_im"):
-        s21 = arr[:, 1] + 1j * arr[:, 2]
+    header, rows, meta = read_table(path, (_NATIVE_HEADER, _DB_PHASE_HEADER))
+    if header == _NATIVE_HEADER:
+        s21 = np.empty(len(rows), dtype=complex)  # re + 1j*im would lose signed zeros
+        s21.real, s21.imag = rows[:, 1], rows[:, 2]
     else:
-        s21 = 10.0 ** (arr[:, 1] / 20.0) * np.exp(1j * arr[:, 2])
+        s21 = 10.0 ** (rows[:, 1] / 20.0) * np.exp(1j * rows[:, 2])
     meta.setdefault("source", str(path))
-    return Spectrum(arr[:, 0], s21, meta)
+    return Spectrum(rows[:, 0], s21, meta)

@@ -13,11 +13,11 @@ outside that band.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._csvfile import read_table
 from .errors import DegenerateFitError
 
 GHZ = 1.0e9
@@ -157,24 +157,4 @@ def fit_derivative_at(fit: TemperatureFrequencyFit, t_k: float) -> float:
 
 def load_frequency_csv(path):
     """Read (T[K], f[Hz]) rows from a `T_K,f_Hz` CSV, as an (n, 2) array."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(h.strip() for h in next(reader))
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if header != ("T_K", "f_Hz"):
-            raise ValueError(f"{path}: expected header 'T_K,f_Hz', got {','.join(header)!r}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value in {row!r}") from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return read_table(path, [("T_K", "f_Hz")])[1]

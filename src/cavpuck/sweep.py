@@ -19,6 +19,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._csvfile import meta_block
 from .cmt import CoupledSystem, beta_coefficients, coupled_eigenmodes
 from .errors import CavpuckError
 from .materials import eval_loss_q, eval_permittivity
@@ -183,8 +184,7 @@ def _format_cell(v) -> str:
 
 def write_sweep_csv(result: SweepResult, path):
     with open(path, "w", newline="") as fh:
-        for key in sorted(result.meta):
-            fh.write(f"# {key}={result.meta[key]}\n")
+        fh.write(meta_block(result.meta))
         # csv.writer quotes error messages that carry commas themselves
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(result.columns)

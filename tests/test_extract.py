@@ -25,6 +25,7 @@ from cavpuck.extract import (
     _Detuning,
     _least_squares,
     _lorentz_model,
+    _window,
     fit_lorentzian,
     q_internal_from_loaded,
     q_phase_slope,
@@ -314,6 +315,32 @@ def test_window_must_keep_five_samples():
     spec = lorentzian_spectrum(1.3e9, 1e4)
     with pytest.raises(ValueError, match="fewer than 5"):
         q_three_db(spec, 1.3e9, window_hz=100.0)
+
+
+def test_window_bisection_selects_the_mask_samples():
+    """_window's slice holds exactly the samples with abs(f - near) <= window,
+    also where near -+ window lands on a sample or one ulp either side of it,
+    and where the rounded bisection bounds alone would be off by one."""
+    rng = np.random.default_rng(11)
+    grids = [np.linspace(1.2e9, 1.3e9, 2001), 1.25e9 + 1e4 * np.cumsum(rng.random(2001))]
+    off_by_rounding = 0
+    for f in grids:
+        spec = Spectrum(f, np.ones(f.size, dtype=complex))
+        for _ in range(400):
+            i, j = rng.integers(0, f.size, 2)
+            near = f[i] if rng.random() < 0.5 else f[i] + rng.random() * (f[1] - f[0])
+            edge = abs(f[j] - near)  # puts sample j exactly on the window edge
+            for window in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)):
+                inside = np.flatnonzero(np.abs(f - near) <= window)
+                bounds = (np.searchsorted(f, near - window), np.searchsorted(f, near + window, "right"))
+                if inside.size < 5:
+                    with pytest.raises(ValueError, match="fewer than 5"):
+                        _window(spec, near, window)
+                    continue
+                sel = _window(spec, near, window)
+                assert (sel.start, sel.stop) == (inside[0], inside[-1] + 1)
+                off_by_rounding += bounds != (inside[0], inside[-1] + 1)
+    assert off_by_rounding > 0  # the cases the predicate itself must settle
 
 
 def test_dead_spectrum_is_rejected():

@@ -11,6 +11,7 @@ from conftest import REF_F_CAV, REF_Q_EXT, driven_model, with_noise
 from cavpuck.cmt import CoupledSystem, coupled_eigenmodes
 from cavpuck.errors import GridTooCoarseError, PeaksNotResolvedError
 from cavpuck.extract import fit_lorentzian, q_three_db
+from cavpuck.materials import load_loss_csv, load_permittivity_csv
 from cavpuck.network import (
     Spectrum,
     TwoPortModel,
@@ -24,6 +25,7 @@ from cavpuck.network import (
     synthesize_s21,
     write_spectrum_csv,
 )
+from cavpuck.resonator import load_frequency_csv
 
 # The workhorse operating point for this module: puck at eps_r = 230
 # (f_sto = 1255500032.509563 Hz), wall-loss-free cavity at 1.3 GHz,
@@ -409,18 +411,101 @@ def test_db_phase_import(tmp_path):
     assert back.meta["source"] == str(path)
 
 
-@pytest.mark.parametrize(
-    "content, match",
-    [
-        ("f_hz,magnitude\n1e9,0.5\n", "unrecognized header"),
-        ("f_hz,s21_re,s21_im\n1e9,0.5\n", ":2: expected 3 columns"),
-        ("f_hz,s21_re,s21_im\n1e9,0.5,0.0\n1.1e9,oops,0.0\n", ":3: non-numeric value"),
-        ("", "no data rows"),
-        ("f_hz,s21_re,s21_im\n", "no data rows"),
-    ],
-)
+def test_random_round_trip_is_bit_exact(tmp_path):
+    """Every float64 a spectrum can hold reads back with the same bits."""
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3, math.inf, -math.inf]
+
+    def draw(n):
+        """n random 17-digit values over the whole exponent range, a fifth special."""
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 308, n)
+        return np.where(rng.random(n) < 0.2, rng.choice(special, n), values)
+
+    for n in (2, 37, 20_000):  # 20,000 rows span three write blocks
+        f = draw(n)
+        f = np.unique(np.concatenate([f[np.isfinite(f)], [-1.0, 1.0]]))
+        s21 = np.empty(f.size, dtype=complex)
+        s21.real, s21.imag = draw(f.size), draw(f.size)
+        spec = Spectrum(f, s21, {"q_sto": math.inf, "kappa": float(rng.random()), "note": "a=b"})
+        path = tmp_path / f"rt{n}.csv"
+        write_spectrum_csv(spec, path)
+        back = read_spectrum_csv(path)
+        assert back.f_hz.tobytes() == spec.f_hz.tobytes()
+        assert back.s21.tobytes() == spec.s21.tobytes()
+        assert back.meta == {**spec.meta, "source": str(path)}
+
+
+# Each case is one malformed spectrum file and the error it must raise.
+# test_table_loaders_reject_malformed_files runs the same cases on the
+# two-column table loaders, one column fewer per row.
+MALFORMED_FILES = [
+    ("f_hz,magnitude\n1e9,0.5\n", "unrecognized header"),
+    ("f_hz,s21_re,s21_im\n1e9,0.5\n", ":2: expected 3 columns"),
+    ("f_hz,s21_re,s21_im\n1e9,0.5,0.0\n1.1e9,oops,0.0\n", ":3: non-numeric value"),
+    ("", "no data rows"),
+    ("f_hz,s21_re,s21_im\n", "no data rows"),
+    # float() reads 1_0 as 10, numpy's parser refuses it
+    ("f_hz,s21_re,s21_im\n1e9,0.5,0.0\n1_0,0.5,0.0\n", ":3: non-numeric value"),
+    # the last row, after meta and a blank line, with no final newline
+    ("# q=1\nf_hz,s21_re,s21_im\n1e9,0.5,0.0\n\n1.1e9,0.5,0.0\n1.2e9,1e,0.0", ":6: non-numeric value"),
+    ('f_hz,s21_re,s21_im\n1e9,"0.5",0.0\n', ":2: non-numeric value"),
+    ("f_hz,s21_re,s21_im\n\n# comment\n  \n", "no data rows"),
+]
+
+
+@pytest.mark.parametrize("content, match", MALFORMED_FILES)
 def test_import_rejects_malformed_files(tmp_path, content, match):
     path = tmp_path / "bad.csv"
     path.write_text(content)
     with pytest.raises(ValueError, match=match):
         read_spectrum_csv(path)
+
+
+def _as_table(content, header):
+    """A MALFORMED_FILES case for a two-column table under header."""
+    lines = []
+    for line in content.split("\n"):
+        if line == "f_hz,s21_re,s21_im":
+            line = header
+        elif line.strip() and not line.startswith(("#", "f_hz")):
+            line = line.rsplit(",", 1)[0]
+        lines.append(line)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "load, header",
+    [
+        (load_permittivity_csv, "T_K,eps_r"),
+        (load_loss_csv, "T_K,tan_delta"),
+        (load_frequency_csv, "T_K,f_Hz"),
+    ],
+    ids=["eps_r", "tan_delta", "f_Hz"],
+)
+@pytest.mark.parametrize("content, match", MALFORMED_FILES)
+def test_table_loaders_reject_malformed_files(tmp_path, load, header, content, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(_as_table(content, header))
+    with pytest.raises(ValueError, match=match.replace("3 columns", "2 columns")):
+        load(path)
+
+
+def test_header_error_names_the_accepted_headers(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("f_hz,bogus\n1,2\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == (
+        f"{path}:1: unrecognized header 'f_hz,bogus' "
+        "(expected header 'f_hz,s21_re,s21_im' or 'f_hz,s21_db,s21_phase_rad')"
+    )
+
+
+def test_reader_skips_blank_and_comment_lines_after_the_header(tmp_path):
+    path = tmp_path / "spaced.csv"
+    path.write_text("# kappa=0.03\n\nf_hz,s21_re,s21_im\n1e9,0.5,0\n   \n# note\n2e9,0.25,-1\n")
+    back = read_spectrum_csv(path)
+    assert back.f_hz.tolist() == [1e9, 2e9]
+    assert back.s21.tolist() == [0.5, 0.25 - 1j]
+    assert back.meta == {"kappa": 0.03, "source": str(path)}
