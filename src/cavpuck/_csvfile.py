@@ -22,7 +22,9 @@ def read_table(path, headers):
     one float row per data line, at least one; meta maps each meta key to
     its value, a float where it parses as one.  Any other file raises
     ValueError as `path:line: ...`: the rows are parsed in one np.loadtxt
-    call, and only if that fails again line by line, by the same parser.
+    call; if that fails, in one more call on the lines that hold data (numpy
+    reads a line of spaces as a row of one empty cell); and only if that
+    fails too, line by line, by the same parser.
     """
     meta, header = {}, None
     with open(path) as fh:
@@ -49,12 +51,12 @@ def read_table(path, headers):
         if header is None or not any(line.partition("#")[0].strip() for line in lines):
             raise ValueError(f"{path}: empty file: no data rows")
         fh.seek(start)
-        try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
-            if rows.shape[1] == len(header):
-                return header, rows, meta
-        except ValueError:
-            pass
+        rows = _parse(fh, len(header))
+        if rows is None:
+            fh.seek(start)
+            rows = _parse([raw for raw in fh if raw.partition("#")[0].strip()], len(header))
+        if rows is not None:
+            return header, rows, meta
         fh.seek(start)
         rows = []
         for lineno, raw in enumerate(fh, start=lineno + 1):
@@ -69,3 +71,13 @@ def read_table(path, headers):
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value in {raw.strip()!r}") from None
     return header, np.array(rows), meta
+
+
+def _parse(lines, n_columns):
+    """All rows of lines in one np.loadtxt call, or None if that call fails
+    or gives rows of another width."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == n_columns else None

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys as _sys
+from collections import Counter
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .cmt import coupled_eigenmodes, on_resonance_modes
 from .errors import CavpuckError, NotResonantError, PeaksNotResolvedError, ScenarioError
 from .extract import Method, fit_lorentzian, q_phase_slope, q_three_db
 from .network import find_peaks_and_notch, read_spectrum_csv, synthesize_s21, write_spectrum_csv
-from .resonator import aspect_ratio_ok
+from .resonator import aspect_ratio_ok, fit_derivative_at
 from .scenario import Scenario, bundled_scenario, load_scenario, parse_frequency
 from .sensitivity import dfsto_dt, responsivity_report
 from .sweep import SweepPlan, SweepVariable, run_sweep, write_sweep_csv, write_sweep_json
@@ -115,18 +116,23 @@ def _cmd_sweep(args) -> int:
         write_sweep_json(result, args.out)
     else:
         write_sweep_csv(result, args.out)
-    n_err = sum(1 for row in result.rows if row[-1])
-    _emit({"out": args.out, "rows": len(result.rows), "rows_with_errors": n_err})
+    # an error cell reads "<exception type>: <message>"
+    by_type = Counter(row[-1].partition(":")[0] for row in result.rows if row[-1])
+    _emit({"out": args.out, "rows": len(result.rows), "rows_with_errors": sum(by_type.values()),
+           "errors_by_type": dict(sorted(by_type.items()))})
     return 0
 
 
 def _cmd_sensitivity(args) -> int:
     scenario = _load_scenario_arg(args.scenario)
     sys = scenario.system_at(t_k=args.temp, kappa=args.kappa)
-    dfsto = dfsto_dt(scenario.puck, scenario.permittivity, args.temp)
-
+    if scenario.sto_fit is not None:  # the f_sto(T) that system_at used
+        dfsto, source = fit_derivative_at(scenario.sto_fit, args.temp), "fit"
+    else:
+        dfsto, source = dfsto_dt(scenario.puck, scenario.permittivity, args.temp), "permittivity"
     report = responsivity_report(
-        sys, dfsto, t_k=args.temp, formula_caveat=not aspect_ratio_ok(scenario.puck)
+        sys, dfsto, t_k=args.temp, formula_caveat=not aspect_ratio_ok(scenario.puck),
+        f_sto_source=source,
     )
     _emit(report.as_dict())
     return 0

@@ -75,6 +75,14 @@ class CoupledSystem:
     def detuning_rel(self) -> float:
         return abs(self.f_sto_hz - self.f_cav_hz) / self.f_cav_hz
 
+    def matrix(self) -> tuple[complex, complex, complex]:
+        """Entries (a, b, d) of the symmetric matrix [[a, b], [b, d]] whose
+        eigenvalues are the squared complex mode frequencies (see
+        coupled_eigenmodes)."""
+        w1 = 2.0 * math.pi * self.f_sto_hz * (1.0 + 0.5j / self.q_sto)
+        w2 = 2.0 * math.pi * self.f_cav_hz * (1.0 + 0.5j / self.q_cav)
+        return w1 * w1, self.kappa * w1 * w2, w2 * w2
+
 
 @dataclass(frozen=True)
 class ModePair:
@@ -142,10 +150,8 @@ def coupled_eigenmodes(sys: CoupledSystem) -> ModePair:
     unphysical.  Each mode is labelled by the dominant eigenvector
     component; components equal to within 1% give HYBRIDIZED.
     """
-    w1 = 2.0 * np.pi * sys.f_sto_hz * (1.0 + 0.5j / sys.q_sto)
-    w2 = 2.0 * np.pi * sys.f_cav_hz * (1.0 + 0.5j / sys.q_cav)
-    off = sys.kappa * w1 * w2
-    mat = np.array([[w1 * w1, off], [off, w2 * w2]])
+    a, b, d = sys.matrix()
+    mat = np.array([[a, b], [b, d]])
     lam, vec = np.linalg.eig(mat)
     wt = np.sqrt(lam)  # principal branch: Re >= 0
     order = np.argsort(wt.real)

@@ -1,26 +1,32 @@
 """Driven two-port response of the coupled pair.
 
-The transmission model is the standard input-output form for a drive that
-enters and leaves through the cavity, with the puck hanging off it:
+The drive enters and leaves through the cavity, with the puck hanging off
+it.  S21 comes from the same 2x2 matrix that ``cmt.coupled_eigenmodes``
+solves, with the cavity's Q replaced by its loaded Q,
+1/Q_L = 1/Q_cav + (1/Q_ext1 + 1/Q_ext2) (``TwoPortModel.loaded_system``):
 
-    S21(w) = sqrt(ge1*ge2) / ( i(wc - w) + gc + ge1 + ge2
-                               + g^2 / (i(ws - w) + gs) )
+    S21(w) = conj( 2i w sqrt(ge1*ge2) (ws~^2 - w^2) / det(M_L - w^2 I) )
 
-with half-linewidths g* = w*/(2 Q*) and coupling rate
-g = kappa*sqrt(wc*ws)/2, chosen so the driven peak splitting at resonance
-(2g = kappa*w0) matches the eigenmode splitting w0*(sqrt(1+kappa) -
-sqrt(1-kappa)) through O(kappa^3).  Individual driven peaks still sit
-~kappa^2*f0/8 away from the eigenmode frequencies (the driven model is
-first order in detuning), which matters when comparing the two at
-kappa > ~0.005.
+    M_L = [[ws~^2,            kappa*ws~*wc~],
+           [kappa*ws~*wc~,    wc~^2        ]]
 
-The transmission zero of S21 sits at the bare puck frequency: the notch in
-a measured spectrum reads out f_sto directly, mode pulling notwithstanding.
+with complex angular frequencies w*~ = w*(1 + i/(2 Q*)), the cavity's
+loaded, and port rates ge_i = wc/(2 Q_ext_i).  The conjugate makes the
+phase rise through a peak.  The peaks are the poles of S21, which are the
+eigenmodes of M_L: ``coupled_eigenmodes(model.loaded_system())`` gives
+their frequencies and loaded Qs.  The zero sits at ws~, so the notch reads
+out the bare puck frequency f_sto, mode pulling notwithstanding.  At
+kappa = 0 the response is the loaded cavity line, of height
+sqrt(ge1*ge2)/(gc + ge1 + ge2) with gc = wc/(2 Q_cav), to O(1/Q).
+
+A peak d linewidths from the zero sits about 1/(4d) linewidth off its
+pole, pushed away from the zero: within a few linewidths of the zero a
+peak is not Lorentzian.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,8 +59,11 @@ class TwoPortModel:
             if not (v > 0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
 
-    def loaded_cavity_q(self) -> float:
-        return 1.0 / (1.0 / self.sys.q_cav + 1.0 / self.q_ext1 + 1.0 / self.q_ext2)
+    def loaded_system(self) -> CoupledSystem:
+        """The pair with the cavity's Q loaded by both ports: its
+        eigenmodes are the poles of S21."""
+        q_loaded = 1.0 / (1.0 / self.sys.q_cav + (1.0 / self.q_ext1 + 1.0 / self.q_ext2))
+        return replace(self.sys, q_cav=q_loaded)
 
 
 @dataclass(eq=False)
@@ -81,44 +90,31 @@ class Spectrum:
             raise ValueError("frequency grid must be strictly increasing")
 
 
-def _half_rates(model: TwoPortModel):
-    sys = model.sys
-    wc = 2.0 * np.pi * sys.f_cav_hz
-    ws = 2.0 * np.pi * sys.f_sto_hz
-    gc = 0.0 if np.isinf(sys.q_cav) else wc / (2.0 * sys.q_cav)
-    gs = 0.0 if np.isinf(sys.q_sto) else ws / (2.0 * sys.q_sto)
-    ge1 = wc / (2.0 * model.q_ext1)
-    ge2 = wc / (2.0 * model.q_ext2)
-    return wc, ws, gc, gs, ge1, ge2
-
-
 def synthesize_s21(model: TwoPortModel, f_hz=None) -> Spectrum:
     """Evaluate the transmission model on a grid (default grid if omitted)."""
     if f_hz is None:
         f_hz = default_frequency_grid(model)
     f = np.asarray(f_hz, dtype=float)
-    wc, ws, gc, gs, ge1, ge2 = _half_rates(model)
-    g = model.sys.kappa * np.sqrt(wc * ws) / 2.0  # coupling rate
-    # Evaluated in place, one ufunc per operation, in the order of
-    # sqrt(ge1*ge2) / (1j*(wc - w) + gc + ge1 + ge2 + g*g / (1j*(ws - w) + gs)):
-    # the same roundings as the expression, without its ~10 band-sized
-    # temporaries per call.
+    # With (a, b, d) the conjugated entries of M_L, the module formula is
+    # S21 = scale*w / (d - w^2 - b^2/(a - w^2)).  Evaluated in place, one
+    # ufunc per operation, without the expression's band-sized temporaries.
+    a, b, d = (z.conjugate() for z in model.loaded_system().matrix())
+    wc = 2.0 * np.pi * model.sys.f_cav_hz
+    scale = -2j * np.sqrt(wc / (2.0 * model.q_ext1) * (wc / (2.0 * model.q_ext2)))
     w = np.multiply(2.0 * np.pi, f)
-    s21 = np.subtract(wc, w, out=np.empty(f.shape, dtype=complex))
-    s21 *= 1j
-    s21 += gc
-    s21 += ge1
-    s21 += ge2
+    s21 = np.multiply(w, w, out=np.empty(f.shape, dtype=complex))
     dead = None
-    if g != 0.0:
-        inner = np.subtract(ws, w, out=np.empty(f.shape, dtype=complex))
-        inner *= 1j
-        inner += gs
+    if b != 0:
+        inner = np.subtract(a, s21, out=np.empty(f.shape, dtype=complex))
         dead = inner == 0  # lossless puck hit exactly on grid -> perfect zero
         inner[dead] = 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            s21 += np.true_divide(g * g, inner, out=inner)
-    np.true_divide(np.sqrt(ge1 * ge2), s21, out=s21)
+            np.true_divide(b * b, inner, out=inner)
+    np.subtract(d, s21, out=s21)
+    if dead is not None:
+        s21 -= inner
+    np.true_divide(w, s21, out=s21)
+    s21 *= scale
     if dead is not None:
         s21[dead] = 0.0
     meta = {

@@ -81,13 +81,18 @@ class Scenario:
 
     def system_at(self, eps_r: float | None = None, t_k: float | None = None,
                   kappa: float | None = None) -> CoupledSystem:
-        """CoupledSystem with f_sto from eps_r directly or via T through the
-        permittivity model (exactly one of the two)."""
+        """CoupledSystem with f_sto from eps_r directly or from T (exactly one
+        of the two).  At a temperature f_sto comes from the measured
+        sto_frequency_fit where the scenario has one, and through the
+        permittivity model otherwise."""
         if (eps_r is None) == (t_k is None):
             raise ScenarioError("supply exactly one of eps_r or t_k")
-        if eps_r is None:
-            eps_r = eval_permittivity(self.permittivity, t_k)
-        f_sto = puck_frequency_hz(self.puck, eps_r)
+        if eps_r is not None:
+            f_sto = puck_frequency_hz(self.puck, eps_r)
+        elif self.sto_fit is not None:
+            f_sto = self.sto_fit.eval_hz(t_k)
+        else:
+            f_sto = puck_frequency_hz(self.puck, eval_permittivity(self.permittivity, t_k))
         q_sto = eval_loss_q(self.loss, t_k if t_k is not None else 293.0)
         return CoupledSystem(
             f_sto, q_sto, self.cavity.f_hz, self.cavity.q, self.resolved_kappa(kappa)

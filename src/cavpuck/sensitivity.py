@@ -112,7 +112,9 @@ class ResponsivityReport:
     not a quantity with an external reference value.
     ``formula_caveat`` is set when the puck aspect ratio sits outside the
     validity band of the frequency rule, so absolute frequencies (not the
-    ratios) deserve suspicion.
+    ratios) deserve suspicion.  ``f_sto_source`` names where f_sto and its
+    drift came from: ``"permittivity"`` (the eps_r(T) chain) or ``"fit"``
+    (a measured f_sto(T) parabola).
     """
 
     t_k: float
@@ -124,6 +126,7 @@ class ResponsivityReport:
     figure_of_merit_1: float
     figure_of_merit_2: float
     formula_caveat: bool
+    f_sto_source: str = "permittivity"
 
     def as_dict(self) -> dict:
         return {
@@ -140,11 +143,13 @@ class ResponsivityReport:
             "figure_of_merit_1": self.figure_of_merit_1,
             "figure_of_merit_2": self.figure_of_merit_2,
             "formula_caveat": self.formula_caveat,
+            "f_sto_source": self.f_sto_source,
         }
 
 
 def responsivity_report(
-    sys: CoupledSystem, dfsto: float, t_k: float = float("nan"), formula_caveat: bool = False
+    sys: CoupledSystem, dfsto: float, t_k: float = float("nan"), formula_caveat: bool = False,
+    f_sto_source: str = "permittivity",
 ) -> ResponsivityReport:
     """Attach mode structure and beta-weighted drifts to a known dfsto/dT."""
     try:
@@ -164,6 +169,7 @@ def responsivity_report(
         figure_of_merit_1=abs(df1) * modes.q1 / modes.f1_hz,
         figure_of_merit_2=abs(df2) * modes.q2 / modes.f2_hz,
         formula_caveat=formula_caveat,
+        f_sto_source=f_sto_source,
     )
 
 

@@ -20,9 +20,9 @@ from enum import Enum
 import numpy as np
 
 from ._csvfile import meta_block
-from .cmt import CoupledSystem, beta_coefficients, coupled_eigenmodes
+from .cmt import beta_coefficients, coupled_eigenmodes
 from .errors import CavpuckError
-from .materials import eval_loss_q, eval_permittivity
+from .materials import ConstantPermittivity, eval_permittivity
 from .network import TwoPortModel, find_peaks_and_notch, synthesize_s21
 from .scenario import Scenario, scenario_meta
 
@@ -101,28 +101,17 @@ def _eval_row(plan: SweepPlan, value: float) -> dict:
                 raise CavpuckError("kappa sweep over a fit-driven scenario needs fixed_eps_r")
             eps = plan.fixed_eps_r
             if eps is None:
-                model = s.permittivity
-                if hasattr(model, "eps_r") and isinstance(getattr(model, "eps_r"), float):
-                    eps = model.eps_r
-                else:
+                if not isinstance(s.permittivity, ConstantPermittivity):
                     raise CavpuckError(
                         "kappa sweep needs fixed_eps_r (scenario permittivity is not constant)"
                     )
+                eps = s.permittivity.eps_r
             sys = s.system_at(eps_r=eps, kappa=value)
         else:  # temperature
             row["t_k"] = value
-            if s.sto_fit is not None:
-                f_sto = s.sto_fit.eval_hz(value)
-                sys = CoupledSystem(
-                    f_sto,
-                    eval_loss_q(s.loss, value),
-                    s.cavity.f_hz,
-                    s.cavity.q,
-                    s.resolved_kappa(plan.kappa_override),
-                )
-            else:
+            if s.sto_fit is None:
                 row["eps_r"] = eval_permittivity(s.permittivity, value)
-                sys = s.system_at(t_k=value, kappa=plan.kappa_override)
+            sys = s.system_at(t_k=value, kappa=plan.kappa_override)
         row["f_sto_hz"] = sys.f_sto_hz
         row["q_sto"] = sys.q_sto
         row["f_cav_hz"] = sys.f_cav_hz

@@ -1,6 +1,8 @@
 """Shared fixtures: reference geometry, canonical coupled systems, and
 synthetic Lorentzian spectra with reproducible noise."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,36 @@ REF_KAPPA = 0.0278
 @pytest.fixture(scope="session")
 def ref_puck() -> DielectricPuck:
     return DielectricPuck(REF_RADIUS_MM, REF_HEIGHT_MM, REF_HOLE_MM)
+
+
+# The C07 parabola: f_sto(T) = 116.88 - 0.008 T + 0.012 T^2 MHz.
+STO_FIT_MHZ = (116.88, -0.008, 0.012)
+
+
+@pytest.fixture(scope="session")
+def fit_driven_scenario(tmp_path_factory):
+    """Path of a scenario file whose puck frequency follows the C07 parabola.
+
+    paper-pec's puck, cavity and coupling, no ports, and an inverse-T
+    permittivity extended down to 0.1 K, which puts the puck at 53.8 MHz at
+    0.8 K where the fit says 116.88 MHz: a caller that takes the wrong chain
+    shows.  `load_scenario(path)` gives the Scenario.
+    """
+    k0, k1, k2 = STO_FIT_MHZ
+    doc = {
+        "schema_version": 1,
+        "name": "fit-driven",
+        "puck": {"radius_mm": REF_RADIUS_MM, "height_mm": REF_HEIGHT_MM,
+                 "hole_radius_mm": REF_HOLE_MM},
+        "permittivity": {"type": "inverse_t", "coeff": 1.0e5, "t_min": 0.1, "t_max": 80.0},
+        "loss": {"type": "constant", "tan_delta": 1.25e-4},
+        "cavity": {"frequency": "1297.1249 MHz", "q": REF_Q_CAV},
+        "kappa": REF_KAPPA,
+        "sto_frequency_fit": {"k0_mhz": k0, "k1_mhz_per_k": k1, "k2_mhz_per_k2": k2},
+    }
+    path = tmp_path_factory.mktemp("scenarios") / "fit_driven.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def resonant_system(kappa=REF_KAPPA, q_sto=REF_Q_STO, q_cav=REF_Q_CAV,

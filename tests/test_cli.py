@@ -16,7 +16,9 @@ import pytest
 
 import cavpuck
 from cavpuck import cli
+from cavpuck.cmt import CoupledSystem, coupled_eigenmodes
 from cavpuck.network import read_spectrum_csv
+from cavpuck.scenario import load_scenario
 from cavpuck.sweep import COLUMNS
 
 
@@ -152,10 +154,10 @@ def test_spectrum_summary_values(spectrum_file):
     path, got = spectrum_file
     assert got["out"] == str(path)
     assert got["points"] == 78884
-    assert got["f_peak1_hz"] == pytest.approx(1248384519.8435318, abs=1.0)
-    assert got["f_peak2_hz"] == pytest.approx(1307114923.551879, abs=1.0)
-    assert got["f_notch_hz"] == pytest.approx(1255500783.1000566, abs=1.0)
-    assert got["depth_db"] == pytest.approx(-102.949458816168, abs=1e-6)
+    assert got["f_peak1_hz"] == pytest.approx(1248239379.5476687, abs=1.0)
+    assert got["f_peak2_hz"] == pytest.approx(1306972585.4736404, abs=1.0)
+    assert got["f_notch_hz"] == pytest.approx(1255500762.7231548, abs=1.0)
+    assert got["depth_db"] == pytest.approx(-103.10556073343237, abs=1e-6)
 
 
 def test_spectrum_file_round_trips(spectrum_file):
@@ -211,9 +213,9 @@ def test_spectrum_unwritable_output_is_config_error(capsys, tmp_path):
 
 
 FIT_GOLDENS = {
-    "3db": (1248384505.7483518, 8613.208848540784, None),
-    "lorentz": (1248383883.6704218, 8706.645511603336, 0.0023091907804311763),
-    "phase": (1248385151.6287694, 8707.20928600409, None),
+    "3db": (1248239367.1081069, 8672.142869458654, None),
+    "lorentz": (1248238783.2481842, 8767.61655371354, 0.002231721560462754),
+    "phase": (1248240000.8539221, 8768.067430817122, None),
 }
 
 
@@ -222,7 +224,7 @@ def test_fit_methods_on_written_spectrum(capsys, spectrum_file, method):
     path, _ = spectrum_file
     got = run_json(
         capsys,
-        ["fit", "--in", str(path), "--near", "1248384519.8", "--method", method],
+        ["fit", "--in", str(path), "--near", "1248239379.5", "--method", method],
     )
     f0, q, residual = FIT_GOLDENS[method]
     assert got["method"] == method
@@ -259,7 +261,7 @@ def test_fit_does_not_depend_on_the_blas_kernel(capsys, spectrum_file, method):
     # The fits are well conditioned and run to their roundoff-level fixed
     # point, so another OpenBLAS kernel changes only the last bits.
     path, _ = spectrum_file
-    argv = ["fit", "--in", str(path), "--near", "1248384519.8", "--method", method]
+    argv = ["fit", "--in", str(path), "--near", "1248239379.5", "--method", method]
     here = run_json(capsys, argv)
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
     src = str(Path(cavpuck.__file__).resolve().parents[1])
@@ -276,14 +278,14 @@ def test_fit_does_not_depend_on_the_blas_kernel(capsys, spectrum_file, method):
 
 def test_fit_near_accepts_unit_strings(capsys, spectrum_file):
     path, _ = spectrum_file
-    bare = run_json(capsys, ["fit", "--in", str(path), "--near", "1248384519.8"])
-    mhz = run_json(capsys, ["fit", "--in", str(path), "--near", "1248.3845198 MHz"])
+    bare = run_json(capsys, ["fit", "--in", str(path), "--near", "1248239379.5"])
+    mhz = run_json(capsys, ["fit", "--in", str(path), "--near", "1248.2393795 MHz"])
     assert mhz == bare
 
 
 def test_fit_default_method_is_lorentz(capsys, spectrum_file):
     path, _ = spectrum_file
-    got = run_json(capsys, ["fit", "--in", str(path), "--near", "1248384519.8"])
+    got = run_json(capsys, ["fit", "--in", str(path), "--near", "1248239379.5"])
     assert got["method"] == "lorentz"
 
 
@@ -337,7 +339,7 @@ def test_sweep_writes_csv_and_reports_counts(capsys, tmp_path):
             "--out", str(out), "--workers", "1",
         ],
     )
-    assert got == {"out": str(out), "rows": 5, "rows_with_errors": 0}
+    assert got == {"out": str(out), "rows": 5, "rows_with_errors": 0, "errors_by_type": {}}
     lines = out.read_text().splitlines()
     meta = [ln for ln in lines if ln.startswith("# ")]
     body = [ln for ln in lines if not ln.startswith("# ")]
@@ -372,6 +374,23 @@ def test_sweep_counts_error_rows(capsys, tmp_path):
         ],
     )
     assert got["rows"] == 2 and got["rows_with_errors"] == 1
+    assert got["errors_by_type"] == {"PeaksNotResolvedError": 1}
+
+
+def test_sweep_summary_counts_errors_by_type_in_stdout_only(capsys, tmp_path):
+    # kappa = 0 leaves one peak, kappa = 1 is no valid system
+    out = tmp_path / "swk.json"
+    got = run_json(
+        capsys,
+        [
+            "sweep", "--scenario", "paper-pec", "--var", "kappa",
+            "--from", "0.0", "--to", "1.0", "--steps", "2", "--eps-r", "215.5",
+            "--out", str(out), "--json", "--workers", "1",
+        ],
+    )
+    assert got["rows_with_errors"] == 2
+    assert got["errors_by_type"] == {"PeaksNotResolvedError": 1, "ValueError": 1}
+    assert "errors_by_type" not in out.read_text()
 
 
 def test_sweep_rejects_single_step(capsys, tmp_path):
@@ -403,6 +422,45 @@ def test_sensitivity_report_values(capsys):
     assert got["formula_caveat"] is False
     assert got["f1_hz"] == pytest.approx(425576367.03911066, rel=1e-12)
     assert got["q2"] == pytest.approx(29275029.56217291, rel=1e-12)
+    assert got["f_sto_source"] == "permittivity"
+
+
+def test_fit_driven_scenario_has_one_f_sto_chain(capsys, tmp_path, fit_driven_scenario):
+    # modes, sensitivity and a temperature sweep all take f_sto from the
+    # fit, so all three describe the one system built on fit.eval_hz(T)
+    scenario = load_scenario(fit_driven_scenario)
+    out = tmp_path / "temp.json"
+    got = run_json(capsys, [
+        "sweep", "--scenario", str(fit_driven_scenario), "--var", "temp",
+        "--from", "0.16", "--to", "1.0", "--steps", "5", "--out", str(out), "--json",
+    ])
+    assert got["rows_with_errors"] == 0
+    doc = json.loads(out.read_text())
+    for row in doc["rows"]:
+        cell = dict(zip(doc["columns"], row))
+        t_k = cell["t_k"]
+        f_sto = scenario.sto_fit.eval_hz(t_k)
+        pair = coupled_eigenmodes(CoupledSystem(
+            f_sto, cell["q_sto"], scenario.cavity.f_hz, scenario.cavity.q, scenario.kappa
+        ))
+        want = {"f1_hz": pair.f1_hz, "q1": pair.q1, "f2_hz": pair.f2_hz, "q2": pair.q2}
+        assert cell["f_sto_hz"] == pytest.approx(f_sto, rel=1e-12)
+        argv = ["--scenario", str(fit_driven_scenario), "--temp", repr(t_k)]
+        modes = run_json(capsys, ["modes", *argv])
+        sens = run_json(capsys, ["sensitivity", *argv])
+        for key, value in want.items():
+            assert cell[key] == pytest.approx(value, rel=1e-12), (t_k, key)
+            assert modes[key] == pytest.approx(value, rel=1e-12), (t_k, key)
+            assert sens[key] == pytest.approx(value, rel=1e-12), (t_k, key)
+
+
+def test_sensitivity_reports_the_fit_slope(capsys, fit_driven_scenario):
+    got = run_json(
+        capsys, ["sensitivity", "--scenario", str(fit_driven_scenario), "--temp", "0.8"]
+    )
+    assert got["f_sto_source"] == "fit"
+    # d/dT (116.88 - 0.008 T + 0.012 T^2) MHz at 0.8 K
+    assert got["dfsto_dt_hz_per_k"] == pytest.approx(11200.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

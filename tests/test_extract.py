@@ -182,8 +182,8 @@ def test_estimators_agree_on_the_cli_default_two_mode_spectrum():
 # either side of the pair: (f0_hz, q_loaded), unwindowed and in a
 # 5-linewidth window alike.
 PHASE_SLOPE_GOLDENS = (
-    (1248385425.6274133, 8699.556247448),
-    (1307114853.5974953, 22303.781566235044),
+    (1248240271.8197548, 8842.267969472548),
+    (1306972560.249631, 21945.833961400138),
 )
 
 

@@ -135,9 +135,10 @@ def test_figure_of_merit_identity(report_50k):
 def test_report_as_dict_keys(report_50k):
     assert sorted(report_50k.as_dict()) == [
         "beta1", "beta2", "df1_dt_hz_per_k", "df2_dt_hz_per_k",
-        "dfsto_dt_hz_per_k", "f1_hz", "f2_hz", "figure_of_merit_1",
+        "dfsto_dt_hz_per_k", "f1_hz", "f2_hz", "f_sto_source", "figure_of_merit_1",
         "figure_of_merit_2", "formula_caveat", "q1", "q2", "t_k",
     ]
+    assert report_50k.as_dict()["f_sto_source"] == "permittivity"
 
 
 def test_deps_override_propagates_to_the_report():

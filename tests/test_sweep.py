@@ -7,14 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from cavpuck.materials import ConstantLoss, ConstantPermittivity
-from cavpuck.resonator import (
-    DielectricPuck,
-    TemperatureFrequencyFit,
-    eps_for_frequency,
-    puck_frequency_hz,
-)
-from cavpuck.scenario import Scenario, bundled_scenario
+from cavpuck.resonator import DielectricPuck, eps_for_frequency, puck_frequency_hz
+from cavpuck.scenario import bundled_scenario, load_scenario
 from cavpuck.sweep import (
     COLUMNS,
     SweepPlan,
@@ -101,8 +95,8 @@ def test_kappa_sweep_keeps_going_past_a_failed_row():
     assert f1[0] == pytest.approx(puck_frequency_hz(PUCK, 215.5), rel=1e-12)
     assert f2[0] == 1297124900.0
     assert result.rows[0][result.columns.index("f_peak1_hz")] is None
-    assert _col(result, "f_peak1_hz")[1] == pytest.approx(1290602336.70, abs=1.0)
-    assert _col(result, "f_peak2_hz")[1] == pytest.approx(1303573428.69, abs=1.0)
+    assert _col(result, "f_peak1_hz")[1] == pytest.approx(1290586042.39, abs=1.0)
+    assert _col(result, "f_peak2_hz")[1] == pytest.approx(1303557298.11, abs=1.0)
 
 
 def test_kappa_sweep_needs_a_pinned_permittivity():
@@ -141,14 +135,8 @@ def test_temperature_sweep_through_the_permittivity_model():
         assert row[result.columns.index("f_peak1_hz")] is None
 
 
-def test_temperature_sweep_prefers_a_frequency_fit():
-    scenario = Scenario(
-        name="fit-driven", puck=PUCK,
-        permittivity=ConstantPermittivity(318.0), loss=ConstantLoss(1.25e-4),
-        cavity=bundled_scenario("paper-pec").cavity, kappa=0.0278,
-        q_ext1=None, q_ext2=None,
-        sto_fit=TemperatureFrequencyFit(116.88, -0.008, 0.012),
-    )
+def test_temperature_sweep_prefers_a_frequency_fit(fit_driven_scenario):
+    scenario = load_scenario(fit_driven_scenario)
     grid = tuple(np.round(np.arange(0.05, 0.655, 0.01), 10))
     result = run_sweep(SweepPlan(SweepVariable.TEMPERATURE, grid, scenario), workers=1)
     assert all(err == "" for err in _col(result, "error"))
@@ -159,14 +147,8 @@ def test_temperature_sweep_prefers_a_frequency_fit():
     assert t[int(np.argmin(fs))] == pytest.approx(1.0 / 3.0, abs=0.011)
 
 
-def test_fit_driven_scenario_requires_fixed_eps_for_kappa_sweeps():
-    scenario = Scenario(
-        name="fit-driven", puck=PUCK,
-        permittivity=ConstantPermittivity(318.0), loss=ConstantLoss(1.25e-4),
-        cavity=bundled_scenario("paper-pec").cavity, kappa=0.0278,
-        q_ext1=None, q_ext2=None,
-        sto_fit=TemperatureFrequencyFit(116.88, -0.008, 0.012),
-    )
+def test_fit_driven_scenario_requires_fixed_eps_for_kappa_sweeps(fit_driven_scenario):
+    scenario = load_scenario(fit_driven_scenario)
     result = run_sweep(SweepPlan(SweepVariable.KAPPA, (0.01, 0.02), scenario), workers=1)
     for err in _col(result, "error"):
         assert "fit-driven scenario needs fixed_eps_r" in err
