@@ -48,7 +48,6 @@ from .materials import (
     TableLoss,
     TablePermittivity,
     eval_loss_q,
-    eval_permittivity,
 )
 from .network import (
     PeakNotchSummary,

@@ -84,11 +84,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        spec = read_spectrum_csv(args.infile)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return _EXIT_CONFIG
+    spec = read_spectrum_csv(args.infile)
     near = parse_frequency(args.near)
     window = parse_frequency(args.window) if args.window else None
     fn = {

@@ -3,6 +3,11 @@
 All models are immutable value objects; evaluation never mutates state and
 never extrapolates beyond a model's declared validity range.
 
+Every permittivity model has ``eval(T)`` and its slope ``deriv(T)`` in 1/K:
+zero for a constant, -coeff/T^2 for inverse-T, and for a table the secant
+of its own interpolant over T +/- 1e-3*T, clipped to the table.  A measured
+cooling curve goes in as a table (``load_permittivity_csv``).
+
 Units: temperature in K, permittivity dimensionless, loss tangent
 dimensionless.  Quality factor of the dielectric is 1/tan(delta).
 """
@@ -36,6 +41,9 @@ class ConstantPermittivity:
 
     def eval(self, t_k: float) -> float:
         return self.eps_r
+
+    def deriv(self, t_k: float) -> float:
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,16 @@ class TablePermittivity:
         _check_hull(t_k, self.t_k)
         return float(np.interp(t_k, self.t_k, self.eps_r))
 
+    def deriv(self, t_k: float) -> float:
+        """d(eps_r)/dT in 1/K: secant of eval over T +/- 1e-3*T, clipped to
+        the table, so a table narrower than the step gives its own secant."""
+        _check_hull(t_k, self.t_k)
+        h = 1e-3 * abs(t_k)
+        if h == 0:
+            raise ValueError("cannot take a secant at T=0")
+        lo, hi = max(t_k - h, self.t_k[0]), min(t_k + h, self.t_k[-1])
+        return (self.eval(hi) - self.eval(lo)) / (hi - lo)
+
     @property
     def t_range(self) -> tuple[float, float]:
         return self.t_k[0], self.t_k[-1]
@@ -126,11 +144,6 @@ def default_sto_loss() -> ConstantLoss:
 
 def default_sto_permittivity() -> InverseTPermittivity:
     return InverseTPermittivity(STO_INVERSE_T_COEFF, *STO_INVERSE_T_RANGE)
-
-
-def eval_permittivity(model, t_k: float) -> float:
-    """Relative permittivity at temperature t_k (pure, range checked)."""
-    return model.eval(t_k)
 
 
 def eval_loss_q(model, t_k: float) -> float:

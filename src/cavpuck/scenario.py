@@ -36,7 +36,6 @@ from .materials import (
     TableLoss,
     TablePermittivity,
     eval_loss_q,
-    eval_permittivity,
 )
 from .network import TwoPortModel
 from .resonator import CavityMode, DielectricPuck, TemperatureFrequencyFit, puck_frequency_hz
@@ -92,7 +91,7 @@ class Scenario:
         elif self.sto_fit is not None:
             f_sto = self.sto_fit.eval_hz(t_k)
         else:
-            f_sto = puck_frequency_hz(self.puck, eval_permittivity(self.permittivity, t_k))
+            f_sto = puck_frequency_hz(self.puck, self.permittivity.eval(t_k))
         q_sto = eval_loss_q(self.loss, t_k if t_k is not None else 293.0)
         return CoupledSystem(
             f_sto, q_sto, self.cavity.f_hz, self.cavity.q, self.resolved_kappa(kappa)

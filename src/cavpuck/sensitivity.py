@@ -3,11 +3,13 @@ frequency -> hybridized mode drift.
 
 The bare-puck drift follows from the frequency rule by the chain rule,
 
-    d f_sto / dT = -(F/2) * eps_r^(-3/2) * d eps_r / dT     (F in Hz)
+    d f_sto / dT = (d f_sto / d eps_r) * (d eps_r / dT)
 
-and each hybridized mode inherits beta_i of it.  With eps_r ~ 1e5/T the
-drift is strongly positive on cooling curves in the 20-80 K window
-(~+4.3 MHz/K at 50 K for the reference puck).
+with the first factor from ``resonator.puck_frequency_slope_eps`` and the
+second from the permittivity model's own ``deriv``; each hybridized mode
+inherits beta_i of it.  With eps_r ~ 1e5/T the drift is strongly positive
+on cooling curves in the 20-80 K window (~+4.3 MHz/K at 50 K for the
+reference puck).
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from .cmt import (
     coupled_eigenmodes,
     on_resonance_modes,
 )
-from .errors import NotResonantError, OutOfRangeError
-from .materials import eval_permittivity
+from .errors import NotResonantError
 from .resonator import (
     DielectricPuck,
     aspect_ratio_ok,
-    geometry_factor_ghz,
     puck_frequency_hz,
+    puck_frequency_slope_eps,
 )
 
 _OPERATING_POINT_RTOL = 1e-12
@@ -41,18 +42,15 @@ class OperatingPoint:
     The puck frequency inside ``sys`` must be the one implied by the
     permittivity model at ``t_k`` (checked to 1e-12 relative), so a report
     can never mix a hand-edited f_sto with model-derived derivatives.
-    ``deps_dt`` overrides the model's d(eps_r)/dT when supplied (e.g. from
-    a measured cooling curve).
     """
 
     puck: DielectricPuck
     eps_model: object
     t_k: float
     sys: CoupledSystem
-    deps_dt: float | None = None
 
     def __post_init__(self):
-        f_expected = puck_frequency_hz(self.puck, eval_permittivity(self.eps_model, self.t_k))
+        f_expected = puck_frequency_hz(self.puck, self.eps_model.eval(self.t_k))
         if abs(self.sys.f_sto_hz - f_expected) > _OPERATING_POINT_RTOL * f_expected:
             raise ValueError(
                 f"sys.f_sto_hz={self.sys.f_sto_hz} does not match the model chain "
@@ -68,39 +66,16 @@ def make_operating_point(
     q_cav: float,
     kappa: float,
     q_sto: float,
-    deps_dt: float | None = None,
 ) -> OperatingPoint:
     """Build an OperatingPoint with f_sto derived through the model chain."""
-    f_sto = puck_frequency_hz(puck, eval_permittivity(eps_model, t_k))
+    f_sto = puck_frequency_hz(puck, eps_model.eval(t_k))
     sys = CoupledSystem(f_sto, q_sto, f_cav_hz, q_cav, kappa)
-    return OperatingPoint(puck, eps_model, t_k, sys, deps_dt)
+    return OperatingPoint(puck, eps_model, t_k, sys)
 
 
-def eps_derivative(eps_model, t_k: float, rel_step: float = 1e-3) -> float:
-    """d(eps_r)/dT in 1/K: analytic where the model has one, finite
-    differences otherwise (step 1e-3*T, shrunk or one-sided at table edges)."""
-    if hasattr(eps_model, "deriv"):
-        return eps_model.deriv(t_k)
-    h = rel_step * t_k
-    if h == 0:
-        raise ValueError("cannot finite-difference at T=0")
-    try:
-        return (eval_permittivity(eps_model, t_k + h) - eval_permittivity(eps_model, t_k - h)) / (2 * h)
-    except OutOfRangeError:
-        pass
-    # an edge of the validity hull: fall back to a one-sided difference
-    try:
-        return (eval_permittivity(eps_model, t_k + h) - eval_permittivity(eps_model, t_k)) / h
-    except OutOfRangeError:
-        return (eval_permittivity(eps_model, t_k) - eval_permittivity(eps_model, t_k - h)) / h
-
-
-def dfsto_dt(puck: DielectricPuck, eps_model, t_k: float, deps_dt: float | None = None) -> float:
+def dfsto_dt(puck: DielectricPuck, eps_model, t_k: float) -> float:
     """Bare-puck frequency drift in Hz/K at temperature t_k."""
-    eps = eval_permittivity(eps_model, t_k)
-    if deps_dt is None:
-        deps_dt = eps_derivative(eps_model, t_k)
-    return -0.5 * geometry_factor_ghz(puck) * 1e9 * eps**-1.5 * deps_dt
+    return puck_frequency_slope_eps(puck, eps_model.eval(t_k)) * eps_model.deriv(t_k)
 
 
 @dataclass(frozen=True)
@@ -175,7 +150,7 @@ def responsivity_report(
 
 def responsivity(op: OperatingPoint) -> ResponsivityReport:
     """Full-chain responsivity at an operating point."""
-    dfsto = dfsto_dt(op.puck, op.eps_model, op.t_k, op.deps_dt)
+    dfsto = dfsto_dt(op.puck, op.eps_model, op.t_k)
     return responsivity_report(
         op.sys, dfsto, t_k=op.t_k, formula_caveat=not aspect_ratio_ok(op.puck)
     )

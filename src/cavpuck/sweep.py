@@ -22,7 +22,7 @@ import numpy as np
 from ._csvfile import meta_block
 from .cmt import beta_coefficients, coupled_eigenmodes
 from .errors import CavpuckError
-from .materials import ConstantPermittivity, eval_permittivity
+from .materials import ConstantPermittivity
 from .network import TwoPortModel, find_peaks_and_notch, synthesize_s21
 from .scenario import Scenario, scenario_meta
 
@@ -49,7 +49,6 @@ class SweepPlan:
     variable: SweepVariable
     grid: tuple[float, ...]
     scenario: Scenario
-    outputs: tuple[str, ...] | None = None      # None -> all columns
     kappa_override: float | None = None         # for scenarios with kappa: null
     fixed_eps_r: float | None = None            # kappa sweeps: the eps to hold
 
@@ -59,10 +58,6 @@ class SweepPlan:
             raise ValueError(f"sweep grid needs at least 2 points, got {g.size}")
         if not np.all(np.diff(g) > 0):
             raise ValueError("sweep grid must be strictly increasing")
-        if self.outputs is not None:
-            unknown = set(self.outputs) - set(COLUMNS)
-            if unknown:
-                raise ValueError(f"unknown output columns: {sorted(unknown)}")
 
 
 @dataclass
@@ -110,7 +105,7 @@ def _eval_row(plan: SweepPlan, value: float) -> dict:
         else:  # temperature
             row["t_k"] = value
             if s.sto_fit is None:
-                row["eps_r"] = eval_permittivity(s.permittivity, value)
+                row["eps_r"] = s.permittivity.eval(value)
             sys = s.system_at(t_k=value, kappa=plan.kappa_override)
         row["f_sto_hz"] = sys.f_sto_hz
         row["q_sto"] = sys.q_sto
@@ -147,10 +142,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             dicts = list(pool.map(lambda v: _eval_row(plan, v), grid))
-    columns = COLUMNS if plan.outputs is None else tuple(
-        c for c in COLUMNS if c in set(plan.outputs) | {"error"}
-    )
-    rows = [[d[c] for c in columns] for d in dicts]
+    rows = [[d[c] for c in COLUMNS] for d in dicts]
     meta = dict(scenario_meta(plan.scenario))
     meta["sweep.variable"] = plan.variable.value
     meta["sweep.points"] = len(grid)
@@ -160,7 +152,7 @@ def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
         meta["sweep.kappa_override"] = plan.kappa_override
     if plan.fixed_eps_r is not None:
         meta["sweep.fixed_eps_r"] = plan.fixed_eps_r
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=COLUMNS, rows=rows, meta=meta)
 
 
 def _format_cell(v) -> str:

@@ -16,7 +16,6 @@ from cavpuck.materials import (
     default_sto_loss,
     default_sto_permittivity,
     eval_loss_q,
-    eval_permittivity,
     load_loss_csv,
     load_permittivity_csv,
 )
@@ -24,8 +23,8 @@ from cavpuck.materials import (
 
 def test_constant_permittivity_ignores_temperature():
     model = ConstantPermittivity(318.0)
-    assert eval_permittivity(model, 4.0) == 318.0
-    assert eval_permittivity(model, 293.0) == 318.0
+    assert model.eval(4.0) == 318.0
+    assert model.eval(293.0) == 318.0
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.5, -3.0, math.inf, math.nan])
@@ -36,8 +35,8 @@ def test_constant_permittivity_rejects_nonphysical(bad):
 
 def test_inverse_t_values_and_derivative():
     model = default_sto_permittivity()
-    assert eval_permittivity(model, 50.0) == pytest.approx(2000.0, rel=1e-12)
-    assert eval_permittivity(model, 20.0) == pytest.approx(5000.0, rel=1e-12)
+    assert model.eval(50.0) == pytest.approx(2000.0, rel=1e-12)
+    assert model.eval(20.0) == pytest.approx(5000.0, rel=1e-12)
     assert model.deriv(50.0) == pytest.approx(-40.0, rel=1e-12)
     # derivative matches a central difference
     h = 1e-3

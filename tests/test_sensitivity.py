@@ -9,6 +9,7 @@ import pytest
 from cavpuck.cmt import CoupledSystem, ModeLabel, beta_coefficients, coupled_eigenmodes
 from cavpuck.materials import (
     ConstantPermittivity,
+    InverseTPermittivity,
     TablePermittivity,
     default_sto_permittivity,
 )
@@ -16,7 +17,6 @@ from cavpuck.resonator import DielectricPuck, puck_frequency_hz
 from cavpuck.sensitivity import (
     OperatingPoint,
     dfsto_dt,
-    eps_derivative,
     make_operating_point,
     responsivity,
     responsivity_report,
@@ -28,27 +28,61 @@ PUCK = DielectricPuck(8.17, 7.26, 2.0)
 # ---------------------------------------------------------------------------
 # permittivity derivative
 
-def test_analytic_model_uses_its_own_derivative():
-    inv = default_sto_permittivity()
-    assert eps_derivative(inv, 50.0) == inv.deriv(50.0)
-    assert inv.deriv(50.0) == pytest.approx(-40.0, rel=1e-12)
+def test_every_permittivity_model_reports_its_own_slope():
+    inv = InverseTPermittivity(1.0e5, 20.0, 80.0)
+    table = TablePermittivity((20.0, 80.0), (5000.0, 1250.0))
+    for model in (ConstantPermittivity(318.0), inv, table):
+        assert callable(model.deriv)
+    for t in (20.0, 33.3, 50.0, 80.0):
+        assert inv.deriv(t) == -1.0e5 / t**2
+
+
+def test_constant_permittivity_slope_is_exactly_zero():
+    assert ConstantPermittivity(318.0).deriv(50.0) == 0.0
 
 
 def test_dense_table_matches_the_analytic_derivative():
     inv = default_sto_permittivity()
     t = np.linspace(20.0, 80.0, 601)
     table = TablePermittivity(tuple(t.tolist()), tuple((1e5 / t).tolist()))
-    assert eps_derivative(table, 50.0) == pytest.approx(inv.deriv(50.0), rel=1e-4)
-    # at the table edges the central step leaves the hull; the one-sided
-    # fallback is first-order accurate
-    assert eps_derivative(table, 20.0) == pytest.approx(inv.deriv(20.0), rel=1e-2)
-    assert eps_derivative(table, 80.0) == pytest.approx(inv.deriv(80.0), rel=1e-2)
+    assert table.deriv(50.0) == pytest.approx(inv.deriv(50.0), rel=1e-4)
+    # at the table edges the step is clipped to one side, which is
+    # first-order accurate
+    assert table.deriv(20.0) == pytest.approx(inv.deriv(20.0), rel=1e-2)
+    assert table.deriv(80.0) == pytest.approx(inv.deriv(80.0), rel=1e-2)
 
 
 def test_two_row_table_reduces_to_the_secant():
     table = TablePermittivity((40.0, 60.0), (2500.0, 1666.6666666666667))
     secant = (1666.6666666666667 - 2500.0) / 20.0
-    assert eps_derivative(table, 50.0) == pytest.approx(secant, rel=1e-10)
+    assert table.deriv(50.0) == pytest.approx(secant, rel=1e-10)
+
+
+def test_table_narrower_than_the_step_gives_its_secant():
+    # 0.01 K wide at 40 K: T +/- 1e-3*T leaves the table on both sides
+    table = TablePermittivity((40.0, 40.01), (2500.0, 2499.0))
+    for t in (40.0, 40.005, 40.01):
+        assert table.deriv(t) == pytest.approx(-100.0, rel=1e-9)
+
+
+def test_table_slope_refuses_zero_kelvin():
+    with pytest.raises(ValueError, match="T=0"):
+        TablePermittivity((0.0, 10.0), (300.0, 290.0)).deriv(0.0)
+
+
+def test_step_near_a_table_end_is_clipped_to_the_table():
+    # knots 0.03 K in from each end: within 1e-3*T of an end the secant runs
+    # from that end across the knot, not over [T, T + h] or [T - h, T]
+    table = TablePermittivity((40.0, 40.03, 59.97, 60.0), (2500.0, 2490.0, 1700.0, 1660.0))
+    middle = (1700.0 - 2490.0) / (59.97 - 40.03)
+    hi = 40.02 * 1.001
+    assert table.deriv(40.02) == pytest.approx(
+        (-10.0 + middle * (hi - 40.03)) / (hi - 40.0), rel=1e-12
+    )
+    lo = 59.97 * 0.999
+    assert table.deriv(59.97) == pytest.approx(
+        (-40.0 + middle * (59.97 - lo)) / (60.0 - lo), rel=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -64,12 +98,6 @@ def test_bare_drift_reference_value():
 
 def test_constant_permittivity_does_not_drift():
     assert dfsto_dt(PUCK, ConstantPermittivity(318.0), 50.0) == 0.0
-
-
-def test_drift_override_scales_linearly():
-    inv = default_sto_permittivity()
-    base = dfsto_dt(PUCK, inv, 50.0)
-    assert dfsto_dt(PUCK, inv, 50.0, deps_dt=-80.0) == pytest.approx(2.0 * base, rel=1e-12)
 
 
 def test_drift_sign_tracks_the_permittivity_slope():
@@ -139,15 +167,6 @@ def test_report_as_dict_keys(report_50k):
         "figure_of_merit_2", "formula_caveat", "q1", "q2", "t_k",
     ]
     assert report_50k.as_dict()["f_sto_source"] == "permittivity"
-
-
-def test_deps_override_propagates_to_the_report():
-    inv = default_sto_permittivity()
-    op = make_operating_point(
-        PUCK, inv, 50.0, 1297124900.0, 4.2e7, 0.0278, 1.01e4, deps_dt=-80.0
-    )
-    rep = responsivity(op)
-    assert rep.dfsto_dt_hz_per_k == pytest.approx(2.0 * 4257607.757152178, rel=1e-12)
 
 
 def test_off_band_puck_sets_the_caveat_flag():

@@ -163,17 +163,6 @@ def test_plan_validation():
         SweepPlan(SweepVariable.EPS_R, (230.0,), scenario)
     with pytest.raises(ValueError, match="strictly increasing"):
         SweepPlan(SweepVariable.EPS_R, (230.0, 229.0), scenario)
-    with pytest.raises(ValueError, match="unknown output columns"):
-        SweepPlan(SweepVariable.EPS_R, (229.0, 230.0), scenario, outputs=("f1_hz", "bogus"))
-
-
-def test_output_subset_keeps_column_order_and_error():
-    plan = SweepPlan(
-        SweepVariable.EPS_R, (214.0, 216.0), bundled_scenario("paper-pec"),
-        outputs=("q1", "f1_hz"),
-    )
-    result = run_sweep(plan, workers=1)
-    assert result.columns == ("f1_hz", "q1", "error")
 
 
 def test_worker_resolution(monkeypatch):
