@@ -55,6 +55,7 @@ from .network import (
     TwoPortModel,
     default_frequency_grid,
     find_peaks_and_notch,
+    model_features,
     phase_curve,
     phase_derivative,
     read_spectrum_csv,

@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--json", action="store_true", help="write JSON instead of CSV")
     swp.add_argument("--kappa", type=float, default=None)
     swp.add_argument("--eps-r", type=float, default=None, help="fixed eps_r for kappa sweeps")
-    swp.add_argument("--workers", type=int, default=None)
+    swp.add_argument("--workers", type=int, default=None,
+                     help="validated (>= 1) but unused: rows run in grid order")
     swp.set_defaults(fn=_cmd_sweep)
 
     sens = sub.add_parser("sensitivity", help="thermal responsivity report at a temperature")

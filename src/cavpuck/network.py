@@ -21,11 +21,15 @@ sqrt(ge1*ge2)/(gc + ge1 + ge2) with gc = wc/(2 Q_cav), to O(1/Q).
 
 A peak d linewidths from the zero sits about 1/(4d) linewidth off its
 pole, pushed away from the zero: within a few linewidths of the zero a
-peak is not Lorentzian.
+peak is not Lorentzian.  ``model_features`` finds the peaks and the notch
+as exact stationary points of |S21|, with no grid; ``find_peaks_and_notch``
+reads them off a sampled spectrum.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,6 +47,13 @@ PORT_Q_DEFAULT = 8.6e7   # simulated external Q of each loop antenna
 _DEFAULT_GRID_POINTS = 20001
 _MAX_GRID_POINTS = 1_000_001
 _MIN_POINTS_PER_LINEWIDTH = 8
+
+# model_features: Newton on log|S21|^2 in x = w^2
+_DB_PER_LOG_POWER = 10.0 / math.log(10.0)
+_THREE_DB_LOG_POWER = 3.0 / _DB_PER_LOG_POWER
+_NEWTON_STEPS = 100
+_NEWTON_XTOL = 1e-10     # settled: a step under this fraction of the cap ...
+_NEWTON_ULPS = 4         # ... or under a few units in the last place of x
 
 
 @dataclass(frozen=True)
@@ -379,6 +390,131 @@ def find_peaks_and_notch(spec: Spectrum) -> PeakNotchSummary:
         f_notch_hz=float(fn),
         depth_db=float(dbn - max(dbp1, dbp2)),
     )
+
+
+def model_features(model: TwoPortModel) -> PeakNotchSummary:
+    """The two peaks and the notch of |S21| at the model's exact stationary
+    points, with no grid.
+
+    In x = w^2,
+
+        log|S21|^2 = log x + log|a - x|^2 - log|lam1 - x|^2 - log|lam2 - x|^2 + const
+
+    with the zero a = ws~^2 and the poles lam1, lam2, the eigenvalues of
+    the loaded matrix.  Each term's first two x-derivatives are closed
+    forms (_log_power).  Damped Newton finds a maximum from the real part
+    of each pole (_peak) and the notch, the minimum between the two
+    maxima, from that of the zero (_notch).  Two starts that land on one
+    maximum find no notch under it, so the count below makes it one peak.
+
+    The refusals are find_peaks_and_notch's: the stronger maximum is a
+    peak, the weaker one only when it stands 3 dB over the notch, and
+    fewer than two peaks raise PeaksNotResolvedError("expected two
+    resolved peaks, found N") carrying the stronger maximum.  At
+    kappa = 0 the response is the loaded cavity line alone, one peak.
+    With Q_sto = inf the zero is exact: the notch sits at f_sto and
+    depth_db is -inf.
+    """
+    a, b, d = model.loaded_system().matrix()
+    if b == 0:
+        x = _peak(d.real, d.imag, ((d, -1.0),))
+        raise PeaksNotResolvedError(
+            f"expected two resolved peaks, found {int(x is not None)}",
+            single_peak_hz=None if x is None else _x_to_hz(x),
+        )
+    # eigenvalues m +- s: the larger one directly, the other as det/lam1
+    m = 0.5 * (a + d)
+    s = cmath.sqrt(0.25 * (a - d) ** 2 + b * b)
+    lam1 = m + s if (m.conjugate() * s).real >= 0 else m - s
+    lam2 = (a * d - b * b) / lam1
+    terms = ((a, 1.0), (lam1, -1.0), (lam2, -1.0))
+    maxima = []  # (x, log power)
+    for lam in (lam1, lam2):
+        x = _peak(lam.real, lam.imag, terms)
+        if x is not None:
+            maxima.append((x, _log_power(x, terms)[0]))
+    maxima.sort()
+    if len(maxima) == 2:
+        (x1, g1), (x2, g2) = maxima
+        if a.imag == 0:  # lossless puck: an exact zero
+            x_notch, g_notch = a.real, -math.inf
+        else:
+            x_notch = _notch(a.real, a.imag, x1, x2, terms)
+            g_notch = _log_power(x_notch, terms)[0]
+        if min(g1, g2) - g_notch >= _THREE_DB_LOG_POWER:
+            return PeakNotchSummary(
+                f_peak1_hz=_x_to_hz(x1),
+                f_peak2_hz=_x_to_hz(x2),
+                f_notch_hz=_x_to_hz(x_notch),
+                depth_db=_DB_PER_LOG_POWER * (g_notch - max(g1, g2)),
+            )
+    best = max(maxima, key=lambda p: p[1], default=None)
+    raise PeaksNotResolvedError(
+        f"expected two resolved peaks, found {min(len(maxima), 1)}",
+        single_peak_hz=None if best is None else _x_to_hz(best[0]),
+    )
+
+
+def _x_to_hz(x: float) -> float:
+    return math.sqrt(x) / (2.0 * math.pi)
+
+
+def _settled(step: float, cap: float, x: float) -> bool:
+    return abs(step) <= max(_NEWTON_XTOL * cap, _NEWTON_ULPS * math.ulp(x))
+
+
+def _log_power(x: float, terms) -> tuple[float, float, float]:
+    """log|S21|^2 up to a constant, and its first and second x-derivatives.
+
+    terms holds (c, +1) for a zero and (c, -1) for a pole, each
+    contributing +-log|c - x|^2 = +-log((x - Re c)^2 + (Im c)^2).
+    """
+    g, g1, g2 = math.log(x), 1.0 / x, -1.0 / (x * x)
+    for c, sign in terms:
+        u, v = x - c.real, c.imag
+        r = u * u + v * v
+        g += sign * math.log(r)
+        g1 += sign * 2.0 * u / r
+        g2 += sign * 2.0 * (v - u) * (v + u) / (r * r)
+    return g, g1, g2
+
+
+def _peak(x: float, cap: float, terms) -> float | None:
+    """Damped Newton from x to a maximum of log|S21|^2, each step capped at
+    `cap`.  None when an iterate's curvature is not negative (no maximum
+    this start can reach), or the steps do not settle."""
+    cap = abs(cap)
+    for _ in range(_NEWTON_STEPS):
+        _, g1, g2 = _log_power(x, terms)
+        if g2 >= 0:
+            return None
+        step = min(max(-g1 / g2, -cap), cap)
+        x += step
+        if _settled(step, cap, x):
+            return x
+    return None
+
+
+def _notch(x: float, cap: float, lo: float, hi: float, terms) -> float:
+    """The minimum of log|S21|^2 between the maxima at lo < hi: damped Newton
+    from x, each step capped at `cap` and kept inside the bracket where the
+    slope turns from falling to rising, bisecting when it would leave it."""
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(_NEWTON_STEPS):
+        _, g1, g2 = _log_power(x, terms)
+        if g1 < 0:
+            lo = x
+        else:
+            hi = x
+        if g2 > 0:
+            step = min(max(-g1 / g2, -cap), cap)
+            if _settled(step, cap, x):
+                return x + step
+            x += step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,12 @@ def make_operating_point(
 
 
 def dfsto_dt(puck: DielectricPuck, eps_model, t_k: float) -> float:
-    """Bare-puck frequency drift in Hz/K at temperature t_k."""
-    return puck_frequency_slope_eps(puck, eps_model.eval(t_k)) * eps_model.deriv(t_k)
+    """Bare-puck frequency drift in Hz/K at temperature t_k.
+
+    A zero permittivity slope gives +0.0: the falling frequency rule times
+    it would otherwise print as a negative drift, -0.0.
+    """
+    return puck_frequency_slope_eps(puck, eps_model.eval(t_k)) * eps_model.deriv(t_k) + 0.0
 
 
 @dataclass(frozen=True)

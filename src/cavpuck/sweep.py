@@ -1,11 +1,12 @@
 """Deterministic parameter sweeps over permittivity, coupling, or
 temperature.
 
-Each grid point is evaluated independently (optionally by a thread pool)
-and rows are assembled strictly in grid order, so output files are
-byte-identical from run to run and for any worker count.  A failing row
-never aborts the sweep: the failure lands in that row's `error` column and
-the sweep carries on.
+Each grid point is evaluated independently, in grid order, so output
+files are byte-identical from run to run and for any worker count.  A
+row's peak and notch columns are the exact stationary points of |S21|
+(network.model_features): no spectrum is synthesized.  A failing row never
+aborts the sweep: the failure lands in that row's `error` column and the
+sweep carries on.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -23,7 +23,9 @@ from ._csvfile import meta_block
 from .cmt import beta_coefficients, coupled_eigenmodes
 from .errors import CavpuckError
 from .materials import ConstantPermittivity
-from .network import TwoPortModel, find_peaks_and_notch, synthesize_s21
+from .network import TwoPortModel, model_features
+# Unused here, but bound for perfbench/spans.py, which wraps these two names.
+from .network import find_peaks_and_notch, synthesize_s21  # noqa: F401
 from .scenario import Scenario, scenario_meta
 
 WORKERS_ENV = "CAVPUCK_WORKERS"
@@ -122,8 +124,7 @@ def _eval_row(plan: SweepPlan, value: float) -> dict:
         return row
     if s.q_ext1 is not None and s.q_ext2 is not None:
         try:
-            spec = synthesize_s21(TwoPortModel(sys, s.q_ext1, s.q_ext2))
-            summary = find_peaks_and_notch(spec)
+            summary = model_features(TwoPortModel(sys, s.q_ext1, s.q_ext2))
             row["f_peak1_hz"] = summary.f_peak1_hz
             row["f_peak2_hz"] = summary.f_peak2_hz
             row["f_notch_hz"] = summary.f_notch_hz
@@ -134,15 +135,15 @@ def _eval_row(plan: SweepPlan, value: float) -> dict:
 
 
 def run_sweep(plan: SweepPlan, workers: int | None = None) -> SweepResult:
-    """Evaluate the plan; row order follows the grid regardless of workers."""
-    workers = _resolve_workers(workers)
+    """Evaluate the plan row by row, in grid order.
+
+    workers (or CAVPUCK_WORKERS) is validated but changes nothing: an exact
+    row is a fraction of a millisecond of Python, which threads cannot
+    overlap.
+    """
+    _resolve_workers(workers)
     grid = [float(v) for v in plan.grid]
-    if workers == 1:
-        dicts = [_eval_row(plan, v) for v in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            dicts = list(pool.map(lambda v: _eval_row(plan, v), grid))
-    rows = [[d[c] for c in COLUMNS] for d in dicts]
+    rows = [[d[c] for c in COLUMNS] for d in (_eval_row(plan, v) for v in grid)]
     meta = dict(scenario_meta(plan.scenario))
     meta["sweep.variable"] = plan.variable.value
     meta["sweep.points"] = len(grid)

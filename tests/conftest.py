@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from cavpuck.cmt import CoupledSystem
-from cavpuck.network import Spectrum, TwoPortModel
+from cavpuck.cmt import CoupledSystem, coupled_eigenmodes
+from cavpuck.network import Spectrum, TwoPortModel, _refine, synthesize_s21
 from cavpuck.resonator import DielectricPuck, puck_frequency_hz
 
 # Fixed seed list: the Monte-Carlo acceptance numbers are reproducible
@@ -91,3 +91,33 @@ def with_noise(spec: Spectrum, snr_db: float, seed: int) -> Spectrum:
     sigma = float(np.max(np.abs(spec.s21))) * 10.0 ** (-snr_db / 20.0)
     re, im = rng.normal(scale=sigma / np.sqrt(2.0), size=(2, spec.f_hz.size))
     return Spectrum(spec.f_hz, spec.s21 + re + 1j * im, dict(spec.meta))
+
+
+def dense_extremum(model: TwoPortModel, f_hz, width_hz, kind, n=4001):
+    """(frequency, dB) of the maximum (kind "max") or the minimum ("min") of
+    |S21| sampled at n points over f_hz +- 3 width_hz, parabola-refined: a
+    grid oracle local to one feature."""
+    grid = np.linspace(f_hz - 3.0 * width_hz, f_hz + 3.0 * width_hz, n)
+    db = 20.0 * np.log10(np.abs(synthesize_s21(model, grid).s21))
+    i = int(np.argmax(db) if kind == "max" else np.argmin(db))
+    assert 0 < i < n - 1, f"the {kind} of |S21| lies outside +-3 widths of {f_hz} Hz"
+    return _refine(grid, db, i)
+
+
+def feature_errors(model: TwoPortModel, summary):
+    """How far summary's peaks and notch sit from dense_extremum, each in
+    its own linewidth (the loaded pole's for a peak, f_sto/Q_sto for the
+    notch), and how far its depth_db is from the grid's, in dB."""
+    pair = coupled_eigenmodes(model.loaded_system())
+    errors, peak_db = [], []
+    for f, pole_hz, q in ((summary.f_peak1_hz, pair.f1_hz, pair.q1),
+                          (summary.f_peak2_hz, pair.f2_hz, pair.q2)):
+        width = pole_hz / q
+        f_grid, db = dense_extremum(model, f, width, "max")
+        errors.append(abs(f - f_grid) / width)
+        peak_db.append(db)
+    width = model.sys.f_sto_hz / model.sys.q_sto
+    f_grid, notch_db = dense_extremum(model, summary.f_notch_hz, width, "min")
+    errors.append(abs(summary.f_notch_hz - f_grid) / width)
+    errors.append(abs(summary.depth_db - (notch_db - max(peak_db))))
+    return errors

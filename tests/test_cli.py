@@ -6,6 +6,7 @@ problem, 3 model/extraction failure.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -423,6 +424,18 @@ def test_sensitivity_report_values(capsys):
     assert got["f1_hz"] == pytest.approx(425576367.03911066, rel=1e-12)
     assert got["q2"] == pytest.approx(29275029.56217291, rel=1e-12)
     assert got["f_sto_source"] == "permittivity"
+
+
+def test_constant_permittivity_prints_an_unsigned_zero_drift(capsys):
+    # the falling frequency rule times a zero eps slope is -0.0, which JSON
+    # would print as a negative drift
+    argv = ["sensitivity", "--scenario", "paper-room", "--kappa", "0.03", "--temp", "50"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert "-0.0" not in out
+    got = json.loads(out)
+    for key in ("dfsto_dt_hz_per_k", "df1_dt_hz_per_k", "df2_dt_hz_per_k"):
+        assert math.copysign(1.0, got[key]) == 1.0 and got[key] == 0.0, key
 
 
 def test_fit_driven_scenario_has_one_f_sto_chain(capsys, tmp_path, fit_driven_scenario):

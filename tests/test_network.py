@@ -7,7 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REF_F_CAV, REF_Q_EXT, driven_model, with_noise
+from conftest import (
+    REF_F_CAV, REF_Q_EXT, dense_extremum, driven_model, feature_errors, with_noise,
+)
 from cavpuck.cmt import CoupledSystem, coupled_eigenmodes
 from cavpuck.errors import GridTooCoarseError, PeaksNotResolvedError
 from cavpuck.extract import fit_lorentzian, q_three_db
@@ -20,6 +22,7 @@ from cavpuck.network import (
     _refine,
     default_frequency_grid,
     find_peaks_and_notch,
+    model_features,
     phase_curve,
     phase_derivative,
     read_spectrum_csv,
@@ -332,6 +335,92 @@ def test_peak_rules_match_scipy_on_random_traces():
         threshold = float(rng.uniform(0.0, 3.0))
         ref, _ = signal.find_peaks(y, prominence=threshold)
         np.testing.assert_array_equal(peaks[prom >= threshold], ref, err_msg=str(y.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# exact peak / notch location
+
+def _sampled_features(model):
+    return find_peaks_and_notch(synthesize_s21(model))
+
+
+def _operating_points():
+    """Seeded draws over both bundled scenarios: eps_r up to 300 at any
+    coupling, points within 2 linewidths of the zero (paper-room eps near
+    230, kappa 0.0025-0.008), and paper-pec's 20-80 K."""
+    rng = np.random.default_rng(20261027)
+    room, pec = bundled_scenario("paper-room"), bundled_scenario("paper-pec")
+    for _ in range(12):
+        kappa = float(np.exp(rng.uniform(np.log(1e-3), np.log(0.05))))
+        yield room.two_port(eps_r=float(rng.uniform(204.0, 300.0)), kappa=kappa)
+        yield room.two_port(eps_r=float(rng.uniform(226.0, 234.0)),
+                            kappa=float(rng.uniform(0.0025, 0.008)))
+        yield pec.two_port(eps_r=float(rng.uniform(204.0, 300.0)))
+        yield pec.two_port(eps_r=float(rng.uniform(204.0, 300.0)),
+                           kappa=float(rng.uniform(0.005, 0.05)))
+        yield pec.two_port(t_k=float(rng.uniform(20.0, 80.0)))
+
+
+def test_exact_features_match_dense_local_grids():
+    resolved, near_zero = 0, 0
+    for model in _operating_points():
+        try:
+            summary = model_features(model)
+        except PeaksNotResolvedError as exc:
+            assert str(exc) == "expected two resolved peaks, found 1"
+            continue
+        resolved += 1
+        *lw_errors, db_error = feature_errors(model, summary)
+        assert max(lw_errors) < 1e-3, model
+        assert db_error < 1e-3, model
+        pair = coupled_eigenmodes(model.loaded_system())
+        f_sto = model.sys.f_sto_hz
+        near_zero += min(abs(f - f_sto) * q / f for f, q in
+                         ((pair.f1_hz, pair.q1), (pair.f2_hz, pair.q2))) < 2.0
+    assert resolved >= 50
+    assert near_zero >= 3
+
+
+def test_exact_and_sampled_verdicts_flip_at_the_same_coupling():
+    # paper-room eps 230: below about kappa 1.72e-3 the puck-like peak no
+    # longer stands 3 dB over the notch
+    room = bundled_scenario("paper-room")
+
+    def resolves(finder, kappa):
+        try:
+            finder(room.two_port(eps_r=230.0, kappa=kappa))
+        except PeaksNotResolvedError as exc:
+            assert str(exc) == "expected two resolved peaks, found 1"
+            return False
+        return True
+
+    thresholds = []
+    for finder in (model_features, _sampled_features):
+        lo, hi = 1e-3, 3e-3
+        assert not resolves(finder, lo) and resolves(finder, hi)
+        while hi / lo > 1.0 + 1e-4:
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if resolves(finder, mid) else (mid, hi)
+        thresholds.append(hi)
+    assert thresholds[0] == pytest.approx(thresholds[1], rel=1e-3)
+
+
+def test_exact_features_at_zero_coupling_find_the_cavity_line():
+    model = driven_model(230.0, kappa=0.0)
+    with pytest.raises(PeaksNotResolvedError, match="found 1") as exc_info:
+        model_features(model)
+    assert exc_info.value.single_peak_hz == pytest.approx(REF_F_CAV, abs=1.0)
+
+
+def test_exact_notch_of_a_lossless_puck_is_f_sto_at_minus_infinity():
+    model = driven_model(230.0, q_sto=math.inf)
+    summary = model_features(model)
+    assert summary.f_notch_hz == pytest.approx(F_STO_230, rel=1e-15)
+    assert summary.depth_db == -math.inf
+    pair = coupled_eigenmodes(model.loaded_system())
+    for f, pole_hz, q in ((summary.f_peak1_hz, pair.f1_hz, pair.q1),
+                          (summary.f_peak2_hz, pair.f2_hz, pair.q2)):
+        assert abs(f - dense_extremum(model, f, pole_hz / q, "max")[0]) < 1e-3 * pole_hz / q
 
 
 # ---------------------------------------------------------------------------

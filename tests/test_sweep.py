@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import feature_errors
+from cavpuck.network import PeakNotchSummary
 from cavpuck.resonator import DielectricPuck, eps_for_frequency, puck_frequency_hz
 from cavpuck.scenario import bundled_scenario, load_scenario
 from cavpuck.sweep import (
@@ -95,8 +97,8 @@ def test_kappa_sweep_keeps_going_past_a_failed_row():
     assert f1[0] == pytest.approx(puck_frequency_hz(PUCK, 215.5), rel=1e-12)
     assert f2[0] == 1297124900.0
     assert result.rows[0][result.columns.index("f_peak1_hz")] is None
-    assert _col(result, "f_peak1_hz")[1] == pytest.approx(1290586042.39, abs=1.0)
-    assert _col(result, "f_peak2_hz")[1] == pytest.approx(1303557298.11, abs=1.0)
+    assert _col(result, "f_peak1_hz")[1] == pytest.approx(1290586044.00, abs=1.0)
+    assert _col(result, "f_peak2_hz")[1] == pytest.approx(1303557296.51, abs=1.0)
 
 
 def test_kappa_sweep_needs_a_pinned_permittivity():
@@ -119,20 +121,41 @@ def test_kappa_sweep_uses_a_constant_scenario_permittivity():
 # temperature sweep
 
 def test_temperature_sweep_through_the_permittivity_model():
-    plan = SweepPlan(
-        SweepVariable.TEMPERATURE, tuple(np.linspace(20.0, 80.0, 13)),
-        bundled_scenario("paper-pec"),
-    )
+    scenario = bundled_scenario("paper-pec")
+    plan = SweepPlan(SweepVariable.TEMPERATURE, tuple(np.linspace(20.0, 80.0, 61)), scenario)
     result = run_sweep(plan, workers=1)
     fs = _col(result, "f_sto_hz")
     assert fs[0] == pytest.approx(269274757.92403865, rel=1e-12)
     assert all(b > a for a, b in zip(fs, fs[1:]))
-    # this far detuned the default spectrum grid would cross 0 Hz; the
-    # eigen columns survive and only the spectrum columns sit empty
-    for row, err in zip(result.rows, _col(result, "error")):
-        assert "default grid would extend below 0 Hz" in err
-        assert row[result.columns.index("f1_hz")] is not None
-        assert row[result.columns.index("f_peak1_hz")] is None
+    # the whole documented range, 0.76-1.03 GHz below the cavity, has every
+    # feature
+    assert all(err == "" for err in _col(result, "error"))
+    features = ("f_peak1_hz", "f_peak2_hz", "f_notch_hz", "notch_depth_db")
+    for t_k, *cells in zip(_col(result, "t_k"), *(_col(result, c) for c in features)):
+        *lw_errors, db_error = feature_errors(
+            scenario.two_port(t_k=t_k), PeakNotchSummary(*cells)
+        )
+        assert max(lw_errors) < 1e-3, t_k
+        assert db_error < 1e-3, t_k
+
+
+def test_rows_synthesize_no_spectrum(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep row sampled a spectrum")
+
+    for name in ("synthesize_s21", "find_peaks_and_notch"):
+        monkeypatch.setattr(f"cavpuck.sweep.{name}", refuse)
+        monkeypatch.setattr(f"cavpuck.network.{name}", refuse)
+    pec = bundled_scenario("paper-pec")
+    single = "PeaksNotResolvedError: expected two resolved peaks, found 1"
+    for plan, errors in (
+        (SweepPlan(SweepVariable.EPS_R, (206.0, 300.0), pec), ["", ""]),
+        (SweepPlan(SweepVariable.KAPPA, (0.0, 0.02), pec, fixed_eps_r=215.5), [single, ""]),
+        (SweepPlan(SweepVariable.TEMPERATURE, (20.0, 80.0), pec), ["", ""]),
+    ):
+        result = run_sweep(plan, workers=1)
+        assert _col(result, "error") == errors
+        assert _col(result, "f_notch_hz")[-1] is not None
 
 
 def test_temperature_sweep_prefers_a_frequency_fit(fit_driven_scenario):
