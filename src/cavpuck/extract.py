@@ -20,6 +20,20 @@ power shape, the phase swing — so they still cross-check each other.
 Every local-maximum search here (the 3 dB peak, the neighbours that clip
 the Lorentzian window, the phase-derivative extrema of the Q products)
 uses the one rule of the network peak finder, network._local_maxima.
+
+With no window an estimate reads only the *reach* of near_hz, with the
+result it would have over the whole band.  The reach starts as 64 samples
+about near_hz and doubles until the raw 3 dB pass on it is the band's: its
+crossing walks stop inside, and no local maximum the band holds beyond it
+could be nearer near_hz than the one found (only a flat run through an
+edge can hide one).  It then spans 64 raw 3 dB widths past both the peak
+and near_hz.  Whatever reads it later (the averaged 3 dB pass, the
+Lorentzian window and its neighbour search, the phase fit window) grows it
+and starts again should it meet an edge that is not the band's, and the
+boxcar widths are capped by the band's size, so no result changes.  The
+grid step is the median over the reach, as it is over an explicit window;
+on a grid whose step varies that is the one difference from a
+whole-band pass.
 """
 
 from __future__ import annotations
@@ -83,15 +97,49 @@ def q_internal_from_loaded(q_loaded: float, insertion_loss_db: float) -> float:
     return q_loaded / (1.0 - 10.0 ** (-insertion_loss_db / 20.0))
 
 
+_REACH_START = 64       # samples in the first window of a reach
+_REACH_WIDTHS = 64.0    # raw 3 dB widths a reach spans past both its peak and near_hz
+
+
+class _OffReach(Exception):
+    """A walk or window of an estimate met an edge of its reach that is not
+    the band's: the reach must grow and the estimate run again."""
+
+
+@dataclass(frozen=True)
+class _Trace:
+    """The samples an estimate reads: power is |S21|^2 over f, step the
+    median step of f, and n the size whose tenth caps a boxcar (the band's
+    for a reach).  open is true on a side where a reach stops short of the
+    band; a walk or window that meets an open edge raises _OffReach."""
+
+    f: np.ndarray
+    s21: np.ndarray
+    power: np.ndarray
+    step: float
+    n: int
+    open: tuple[bool, bool]
+
+
+def _trace(spec: Spectrum, sel: slice, reach: bool = False) -> _Trace:
+    """The trace of the samples sel; with reach, their edges short of the band are open."""
+    n = spec.f_hz.size
+    start, stop, _ = sel.indices(n)
+    f, s21 = spec.f_hz[sel], spec.s21[sel]
+    return _Trace(f, s21, np.abs(s21) ** 2, float(np.median(np.diff(f))),
+                  n if reach else f.size, (reach and start > 0, reach and stop < n))
+
+
 def _window(spec: Spectrum, near_hz: float, window_hz: float | None) -> slice:
-    """Slice of the samples f with abs(f - near_hz) <= window_hz (all with no window).
+    """Slice of the samples f with abs(f - near_hz) <= window_hz, or with no
+    window the reach of near_hz (_reach).
 
     The grid is strictly increasing, so the selection is contiguous: two
     bisections on the rounded bounds near_hz -+ window_hz find it, then each
     end settles on the predicate itself.  Indexing with it takes a view.
     """
     if window_hz is None:
-        return slice(None)
+        return _reach(spec, near_hz)
     f = spec.f_hz
     lo = int(np.searchsorted(f, near_hz - window_hz, "left"))
     hi = int(np.searchsorted(f, near_hz + window_hz, "right"))
@@ -108,43 +156,113 @@ def _window(spec: Spectrum, near_hz: float, window_hz: float | None) -> slice:
     return slice(lo, hi)
 
 
+def _reach(spec: Spectrum, near_hz: float) -> slice:
+    """The reach of near_hz (see the module docstring).  A crossing that runs
+    off the band ends the search: the estimate raises it again."""
+    f = spec.f_hz
+    i = int(np.searchsorted(f, near_hz))
+    sel = slice(max(0, i - _REACH_START // 2), min(f.size, i + _REACH_START // 2))
+    while True:
+        tr = _trace(spec, sel, reach=True)
+        try:
+            f0, _, f_hi, f_lo = _three_db_core(tr.f, tr.power, near_hz, tr.open)
+        except _OffReach:
+            sel = _wider(sel, f.size)
+            continue
+        except BandEdgeClippedError:
+            return sel
+        margin = _REACH_WIDTHS * (f_hi - f_lo)
+        lo = int(np.searchsorted(f, min(f0, near_hz) - margin, "left"))
+        hi = int(np.searchsorted(f, max(f0, near_hz) + margin, "right"))
+        return slice(min(lo, sel.start), max(hi, sel.stop))
+
+
+def _wider(sel: slice, n: int) -> slice:
+    """sel grown by half its size on each side, within the n samples of the band."""
+    d = (sel.stop - sel.start + 1) // 2
+    return slice(max(0, sel.start - d), min(n, sel.stop + d))
+
+
+def _estimate(spec: Spectrum, near_hz: float, window_hz: float | None, run):
+    """run(trace) over the window, or with no window over the reach of
+    near_hz, grown and run again for as long as run raises _OffReach."""
+    sel = _window(spec, near_hz, window_hz)
+    while True:
+        try:
+            return run(_trace(spec, sel, reach=window_hz is None))
+        except _OffReach:
+            sel = _wider(sel, spec.f_hz.size)
+
+
 def _nearest_index(f, x) -> int:
     """argmin |f - x| on the increasing grid f (lower sample on a tie), by bisection."""
     j = min(max(int(np.searchsorted(f, x)), 1), f.size - 1)
     return j - 1 if x - f[j - 1] <= f[j] - x else j
 
 
-def _trace(spec: Spectrum, sel: slice):
-    """(f, |S21|^2, median grid step) over the samples sel."""
-    f = spec.f_hz[sel]
-    return f, np.abs(spec.s21[sel]) ** 2, float(np.median(np.diff(f)))
+def _unseen(f, y):
+    """(lo, hi): should y be cut from a longer trace, the local maxima of
+    that trace that _local_maxima(y) misses all lie at f <= lo or f >= hi.
+
+    Only a flat run through an end of y hides one.  Its maximum is the
+    run's middle over the longer trace, no further in than halfway along
+    the part of the run that y holds.
+    """
+    last = y.size - 1
+    q = 0
+    while q < last and y[q + 1] == y[q]:
+        q += 1
+    if q == last:
+        return math.inf, -math.inf  # one flat run: a maximum may sit anywhere
+    p = last
+    while y[p - 1] == y[p]:
+        p -= 1
+    return f[q // 2], f[(p + last) // 2]
 
 
-def _nearest_local_max(f, y, near_hz):
+def _nearest_local_max(f, y, near_hz, open_=(False, False)):
+    """Index of the local maximum of y nearest near_hz, or of the maximum of
+    y when it has no local maximum.  With an open side it raises _OffReach
+    unless no maximum beyond the samples (_unseen) could be as near."""
     peaks = _local_maxima(y)
     if peaks.size == 0:
+        if any(open_):
+            raise _OffReach
         return int(np.argmax(y))
-    return int(peaks[np.argmin(np.abs(f[peaks] - near_hz))])
+    dist = np.abs(f[peaks] - near_hz)
+    k = int(np.argmin(dist))
+    if any(open_):
+        lo, hi = _unseen(f, y)
+        if (open_[0] and not near_hz - lo > dist[k]) or (open_[1] and not hi - near_hz > dist[k]):
+            raise _OffReach
+    return int(peaks[k])
 
 
-def _boxcar(f, y, width_points):
-    """Moving average of y; trims the half-window margins where the average
-    would spill past the data, returning the matching slice of f."""
+def _boxcar(tr: _Trace, width_points):
+    """Moving average of tr.power and the matching slice of tr.f, trimmed
+    of the half-window margins where the average would spill past the data.
+
+    The width is capped at a tenth of tr.n.  Only a reach can be shorter
+    than that; one shorter than the average raises _OffReach.
+    """
+    f, y = tr.f, tr.power
     w = int(width_points)
     if w % 2 == 0:
         w += 1
-    w = min(w, max(1, (y.size - 1) // 10) | 1)
+    w = min(w, max(1, (tr.n - 1) // 10) | 1)
     if w < 3:
         return f, y
+    if w > y.size:
+        raise _OffReach
     half = w // 2
     return f[half:-half], np.convolve(y, np.full(w, 1.0 / w), mode="valid")
 
 
-def _three_db_core(f, power, near_hz):
+def _three_db_core(f, power, near_hz, open_=(False, False)):
     """One 3 dB pass on a power trace: (f0, peak_db, f_hi, f_lo)."""
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(power, np.finfo(float).tiny))
-    i = _nearest_local_max(f, db, near_hz)
+    i = _nearest_local_max(f, db, near_hz, open_)
     f0, peak_db = _refine(f, db, i)
     target = peak_db - _HALF_POWER_DB
 
@@ -153,6 +271,8 @@ def _three_db_core(f, power, near_hz):
         while 0 <= j + step < f.size and db[j + step] > target:
             j += step
         if not (0 <= j + step < f.size):
+            if open_[step > 0]:
+                raise _OffReach
             side = "upper" if step > 0 else "lower"
             raise BandEdgeClippedError(f"{side} half-power crossing is outside the band")
         # interpolate between the last sample above and the first below
@@ -163,17 +283,17 @@ def _three_db_core(f, power, near_hz):
     return f0, peak_db, cross(+1), cross(-1)
 
 
-def _three_db(f, power, step, near_hz) -> ResonanceEstimate:
-    """q_three_db on the power trace |S21|^2 over f, whose median step is step."""
-    if np.all(power == 0):
+def _three_db(tr: _Trace, near_hz) -> ResonanceEstimate:
+    """q_three_db on the trace tr."""
+    if np.all(tr.power == 0):  # never a reach, which holds a local maximum
         raise PeaksNotResolvedError("spectrum is identically zero in the window")
-    f0, peak_db, f_hi, f_lo = _three_db_core(f, power, near_hz)
+    f0, peak_db, f_hi, f_lo = _three_db_core(tr.f, tr.power, near_hz, tr.open)
 
-    points_per_lw = (f_hi - f_lo) / step
-    f_s, power_s = _boxcar(f, power, round(points_per_lw / 12.0))
-    if power_s is not power:
+    points_per_lw = (f_hi - f_lo) / tr.step
+    f_s, power_s = _boxcar(tr, round(points_per_lw / 12.0))
+    if power_s is not tr.power:
         try:
-            f0, peak_db, f_hi, f_lo = _three_db_core(f_s, power_s, near_hz)
+            f0, peak_db, f_hi, f_lo = _three_db_core(f_s, power_s, near_hz, tr.open)
         except BandEdgeClippedError:
             pass  # crossing sits inside the margin the average trimmed; keep the raw pass
 
@@ -195,8 +315,11 @@ def q_three_db(spec: Spectrum, near_hz: float, window_hz: float | None = None) -
     scale; the reported numbers come from a second pass over a trace
     averaged to about a twelfth of that linewidth, which suppresses noise
     on the crossings while biasing an ideal resonance by under 0.5%.
+    With no window both passes read the reach of near_hz, with the result
+    of the whole band; on a trace with no local maximum at all the reach,
+    and the fallback to its largest sample, is the whole band.
     """
-    return _three_db(*_trace(spec, _window(spec, near_hz, window_hz)), near_hz)
+    return _estimate(spec, near_hz, window_hz, lambda tr: _three_db(tr, near_hz))
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +450,8 @@ def _least_squares(model, y, p0, *, accept=None, max_iter=100):
     )
 
 
-def _fit_window(f, power, step, seed: ResonanceEstimate) -> slice:
-    """Slice of f for the default Lorentzian window (power is |S21|^2 over f).
+def _fit_window(tr: _Trace, seed: ResonanceEstimate) -> slice:
+    """Slice of tr.f for the default Lorentzian window.
 
     +-10 seed linewidths about the seed f0, clipped on each side at the
     midpoint to the nearest other resonance there.  That is a local maximum
@@ -339,11 +462,20 @@ def _fit_window(f, power, step, seed: ResonanceEstimate) -> slice:
     once, at its middle sample, and a shoulder not at all.  Noise ripple is
     narrower than the average, and at 20 dB SNR or better it seldom rises
     that high and dips that deep; a weaker neighbour is left in the window.
+    A reach must hold the window and every neighbour within 20 seed
+    linewidths, the farthest that could clip it.
     """
     f0 = seed.f0_hz
     lw = f0 / seed.q_loaded
     lo, hi = f0 - _FIT_HALF_WIDTH * lw, f0 + _FIT_HALF_WIDTH * lw
-    fs, ps = _boxcar(f, power, round(0.25 * lw / step))
+    fs, ps = _boxcar(tr, round(0.25 * lw / tr.step))
+    # a neighbour the samples cannot see lies too far out to clip; the
+    # samples then also run past lo and hi, where the bisections below look
+    if any(tr.open):
+        far_lo, far_hi = _unseen(fs, ps)
+        if ((tr.open[0] and not 0.5 * (f0 + far_lo) <= lo)
+                or (tr.open[1] and not 0.5 * (f0 + far_hi) >= hi)):
+            raise _OffReach
     i = _nearest_index(fs, f0)
     maxima = _local_maxima(ps)
     maxima = maxima[ps[maxima] >= _OTHER_PEAK_MIN * ps[i]]
@@ -355,7 +487,7 @@ def _fit_window(f, power, step, seed: ResonanceEstimate) -> slice:
         hi = min(hi, 0.5 * (f0 + fs[above.min()]))
     if below.size:
         lo = max(lo, 0.5 * (f0 + fs[below.max()]))
-    start, stop = np.searchsorted(f, lo, "left"), np.searchsorted(f, hi, "right")
+    start, stop = np.searchsorted(tr.f, lo, "left"), np.searchsorted(tr.f, hi, "right")
     if stop - start < 5:
         raise ValueError("analysis window contains fewer than 5 samples")
     return slice(int(start), int(stop))
@@ -394,23 +526,27 @@ def fit_lorentzian(spec: Spectrum, near_hz: float, window_hz: float | None = Non
     whole band.  Frequency is fitted in scaled detuning about the seed and
     power is normalized to the window maximum, so the problem is equally
     well conditioned at any Q and scale.  NoConvergenceError carries the
-    last iterate.
+    last iterate.  With no window the seed and the fit read the reach of
+    near_hz, with the result of the whole band; only the fallback reads
+    the whole band.
     """
-    # one trace, shared by the seed and the windows
-    f, power, step = _trace(spec, _window(spec, near_hz, window_hz))
-    seed = _three_db(f, power, step, near_hz)
-    if window_hz is not None:
-        return _fit_power(f, power, seed)
-    try:
-        w = _fit_window(f, power, step, seed)
-        est = _fit_power(f[w], power[w], seed)
-    except (ValueError, NoConvergenceError):
-        est = None
-    if est is None or not 0.5 < est.q_loaded / seed.q_loaded < 2.0:
-        rough = _fit_power(f, power, seed)
-        w = _fit_window(f, power, step, rough)
-        est = _fit_power(f[w], power[w], rough)
-    return est
+    def fit(tr):
+        seed = _three_db(tr, near_hz)
+        if window_hz is not None:
+            return _fit_power(tr.f, tr.power, seed)
+        try:
+            w = _fit_window(tr, seed)
+            est = _fit_power(tr.f[w], tr.power[w], seed)
+        except (ValueError, NoConvergenceError):
+            est = None
+        if est is None or not 0.5 < est.q_loaded / seed.q_loaded < 2.0:
+            band = _trace(spec, slice(None))
+            rough = _fit_power(band.f, band.power, seed)
+            w = _fit_window(band, rough)
+            est = _fit_power(band.f[w], band.power[w], rough)
+        return est
+
+    return _estimate(spec, near_hz, window_hz, fit)
 
 
 def q_phase_slope(spec: Spectrum, near_hz: float, window_hz: float | None = None) -> ResonanceEstimate:
@@ -424,37 +560,42 @@ def q_phase_slope(spec: Spectrum, near_hz: float, window_hz: float | None = None
     phase_derivative does or on a fit window under 8 samples,
     PeaksNotResolvedError on an S21 constant over the window, and whatever
     the 3 dB seed or the fit raises (BandEdgeClippedError, NoConvergenceError).
+    With no window the seed and the fit read the reach of near_hz, with the
+    result of the whole band; the grid check still reads the whole band.
     """
     _check_grid_resolution(spec)
-    sel = _window(spec, near_hz, window_hz)
-    s21 = spec.s21[sel]
-    if np.all(s21 == s21[0]):
-        raise PeaksNotResolvedError("phase derivative has no extremum in the window")
-    f, power, step = _trace(spec, sel)
-    seed = _three_db(f, power, step, near_hz)
-    lw = seed.f0_hz / seed.q_loaded
-    start = np.searchsorted(f, seed.f0_hz - 4.0 * lw, "left")
-    stop = np.searchsorted(f, seed.f0_hz + 4.0 * lw, "right")
-    if stop - start < 8:
-        raise GridTooCoarseError("phase fit window (+-4 seed linewidths) has under 8 samples")
-    s21 = s21[start:stop]
-    phase = np.unwrap(np.angle(s21))
-    det = _Detuning(seed.f0_hz, seed.q_loaded)
-    t = det.t(f[start:stop])
-    sw = np.abs(s21) / float(np.max(np.abs(s21)))  # sqrt of weights |S21|^2
-    p0 = [float(phase[np.argmin(np.abs(t))]), float(phase[-1] - phase[0]) / math.pi, 0.0, 1.0]
-    p, _ = _least_squares(
-        _phase_model(det, t, sw), sw * phase, p0, accept=lambda p: det.valid(p[2], p[3])
-    )
-    # the model's own derivative extremum: |dphi/df| = 2|swing| Q / f0
-    f0 = det.f0(float(p[2]))
-    slope = 2.0 * abs(float(p[1])) * det.q(float(p[3])) / f0
-    return ResonanceEstimate(
-        f0_hz=f0,
-        q_loaded=f0 * slope / 2.0,
-        amplitude=float(np.abs(spec.s21[_nearest_index(spec.f_hz, f0)])),
-        method=Method.PHASE_SLOPE,
-    )
+
+    def fit(tr):
+        if np.all(tr.s21 == tr.s21[0]):  # never a reach, which holds a local maximum
+            raise PeaksNotResolvedError("phase derivative has no extremum in the window")
+        seed = _three_db(tr, near_hz)
+        lw = seed.f0_hz / seed.q_loaded
+        lo, hi = seed.f0_hz - 4.0 * lw, seed.f0_hz + 4.0 * lw
+        if (tr.open[0] and not tr.f[0] < lo) or (tr.open[1] and not tr.f[-1] > hi):
+            raise _OffReach  # a bisection below could land short of the band's
+        start, stop = np.searchsorted(tr.f, lo, "left"), np.searchsorted(tr.f, hi, "right")
+        if stop - start < 8:
+            raise GridTooCoarseError("phase fit window (+-4 seed linewidths) has under 8 samples")
+        s21 = tr.s21[start:stop]
+        phase = np.unwrap(np.angle(s21))
+        det = _Detuning(seed.f0_hz, seed.q_loaded)
+        t = det.t(tr.f[start:stop])
+        sw = np.abs(s21) / float(np.max(np.abs(s21)))  # sqrt of weights |S21|^2
+        p0 = [float(phase[np.argmin(np.abs(t))]), float(phase[-1] - phase[0]) / math.pi, 0.0, 1.0]
+        p, _ = _least_squares(
+            _phase_model(det, t, sw), sw * phase, p0, accept=lambda p: det.valid(p[2], p[3])
+        )
+        # the model's own derivative extremum: |dphi/df| = 2|swing| Q / f0
+        f0 = det.f0(float(p[2]))
+        slope = 2.0 * abs(float(p[1])) * det.q(float(p[3])) / f0
+        return ResonanceEstimate(
+            f0_hz=f0,
+            q_loaded=f0 * slope / 2.0,
+            amplitude=float(np.abs(spec.s21[_nearest_index(spec.f_hz, f0)])),
+            method=Method.PHASE_SLOPE,
+        )
+
+    return _estimate(spec, near_hz, window_hz, fit)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,16 @@ from cavpuck.errors import (
     NoConvergenceError,
     PeaksNotResolvedError,
 )
+from cavpuck import extract
 from cavpuck.extract import (
     Method,
     _Detuning,
+    _fit_power,
+    _fit_window,
     _least_squares,
     _lorentz_model,
+    _three_db,
+    _trace,
     _window,
     fit_lorentzian,
     q_internal_from_loaded,
@@ -225,6 +230,163 @@ def test_default_window_survives_a_seed_fooled_by_noise():
         noisy = with_noise(spec, 15.0, seed)
         assert q_three_db(noisy, 1.3e9).q_loaded > 10 * 1e4
         assert fit_lorentzian(noisy, 1.3e9).q_loaded == pytest.approx(1e4, rel=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the reach: with no window an estimate reads only the samples about its
+# peak, with the result it has over the whole band
+
+def _lorentzian_over_the_band(spec, near_hz):
+    """fit_lorentzian with no window, computed over the whole band."""
+    band = _trace(spec, slice(None))
+    seed = _three_db(band, near_hz)
+    try:
+        w = _fit_window(band, seed)
+        est = _fit_power(band.f[w], band.power[w], seed)
+    except (ValueError, NoConvergenceError):
+        est = None
+    if est is None or not 0.5 < est.q_loaded / seed.q_loaded < 2.0:
+        rough = _fit_power(band.f, band.power, seed)
+        w = _fit_window(band, rough)
+        est = _fit_power(band.f[w], band.power[w], rough)
+    return est
+
+
+WHOLE_BAND = (
+    (q_three_db, lambda spec, near: _three_db(_trace(spec, slice(None)), near)),
+    (fit_lorentzian, _lorentzian_over_the_band),
+    (q_phase_slope, lambda spec, near: q_phase_slope(spec, near, math.inf)),
+)
+
+
+def _outcome(fn, spec, near_hz):
+    try:
+        est = fn(spec, near_hz)
+    except Exception as exc:  # the oracle must raise the same error
+        return type(exc), str(exc)
+    return est.f0_hz, est.q_loaded, est.amplitude
+
+
+def _assert_reach_matches_the_band(spec, nears):
+    for near in nears:
+        for method, over_the_band in WHOLE_BAND:
+            assert _outcome(method, spec, near) == _outcome(over_the_band, spec, near), (
+                method.__name__, near)
+
+
+def _two_mode_spectra():
+    """Both scenarios at eps_r 230: the clean spectrum on the default grid,
+    and noisy ones as a measurement would come, with no model snapshot, on
+    8,001 points over one splitting either side of the pair's centre."""
+    for name, kwargs in (("paper-room", {"eps_r": 230.0, "kappa": 0.03}),
+                         ("paper-pec", {"eps_r": 230.0})):
+        model = bundled_scenario(name).two_port(**kwargs)
+        clean = synthesize_s21(model)
+        yield clean, find_peaks_and_notch(clean)
+        pair = coupled_eigenmodes(model.sys)
+        center, split = 0.5 * (pair.f1_hz + pair.f2_hz), pair.f2_hz - pair.f1_hz
+        clean = synthesize_s21(model, np.linspace(center - split, center + split, 8_001))
+        summary = find_peaks_and_notch(clean)
+        for snr_db, seed in ((40.0, 5), (20.0, 6)):
+            yield Spectrum(clean.f_hz, with_noise(clean, snr_db, seed).s21), summary
+
+
+def test_reach_gives_the_whole_band_result_on_two_mode_spectra():
+    rng = np.random.default_rng(29)
+    for spec, summary in _two_mode_spectra():
+        f = spec.f_hz
+        span = f[-1] - f[0]
+        nears = [summary.f_peak1_hz, summary.f_peak2_hz, summary.f_notch_hz,
+                 f[0] + 0.01 * span, f[-1] - 0.01 * span, *(f[0] + span * rng.random(2))]
+        _assert_reach_matches_the_band(spec, nears)
+
+
+@pytest.mark.parametrize("margin", [extract._REACH_WIDTHS, 0.0])
+def test_reach_gives_the_whole_band_result_at_the_edge_cases(monkeypatch, margin):
+    # with no margin past the raw 3 dB pass, every later walk and window
+    # must grow the reach itself
+    monkeypatch.setattr(extract, "_REACH_WIDTHS", margin)
+    # a band inside the half-power points: every estimate raises
+    narrow = lorentzian_spectrum(1.3e9, 1e4, span_linewidths=0.8)
+    _assert_reach_matches_the_band(narrow, [1.3e9])
+    # a seed fooled by noise: fit_lorentzian falls back to the band
+    spec = lorentzian_spectrum(1.3e9, 1e4)
+    for seed in (3, 10):
+        _assert_reach_matches_the_band(with_noise(spec, 15.0, seed), [1.3e9])
+    # a line 500 samples wide: the first walks run past the first window
+    _assert_reach_matches_the_band(lorentzian_spectrum(1.3e9, 1e4, n=20_001), [1.3e9])
+    # a neighbour 15 linewidths off clips the Lorentzian window at 7.5
+    f1, q = 1.3e9, 1e4
+    f = np.linspace(f1 - 60.0 * f1 / q, f1 + 60.0 * f1 / q, 6001)
+    f2 = f1 + 15.0 * f1 / q
+    pair = Spectrum(f, 0.5 / (1.0 + 2j * q * (f - f1) / f1) + 0.5 / (1.0 + 2j * q * (f - f2) / f2))
+    _assert_reach_matches_the_band(pair, [f1, f2])
+    # a flat top through an edge of the first window, nearer near_hz than
+    # the spike inside it: the band's nearest local maximum is the top
+    f = np.linspace(1.29e9, 1.31e9, 2001)
+    for sign in (1, -1):
+        mag = np.full(f.size, 0.1)
+        mag[1000 - sign * np.arange(9, 41)] = 1.0
+        mag[1000 + 28 * sign] = 1.0
+        _assert_reach_matches_the_band(Spectrum(f, mag.astype(complex)), [f[1000]])
+    # quantized traces: flat tops, and flat runs through the edges of a
+    # reach, about the peak and out on the tails
+    rng = np.random.default_rng(3)
+    noisy = with_noise(lorentzian_spectrum(1.3e9, 1e4, span_linewidths=400.0, n=10_001), 30.0, 1)
+    for step in (1.0 / 64.0, 1.0 / 16.0):
+        quantized = Spectrum(noisy.f_hz, np.round(noisy.s21 / step) * step)
+        power = np.abs(quantized.s21) ** 2
+        assert np.count_nonzero(power[1:] == power[:-1]) > 3_000
+        _assert_reach_matches_the_band(quantized, [*np.linspace(1.3e9 - 2e6, 1.3e9 + 2e6, 3),
+                                                   *rng.choice(noisy.f_hz, 4)])
+    # near_hz far out on a clean tail: the nearest local maximum is the
+    # peak, thousands of samples away, and the reach grows to it
+    wide = lorentzian_spectrum(1.3e9, 1e4, span_linewidths=2000.0, n=200_001)
+    _assert_reach_matches_the_band(wide, [wide.f_hz[1000], 1.3e9 + 600 * 1.3e5])
+
+
+def test_unwindowed_estimates_read_only_the_samples_about_their_peak(monkeypatch):
+    # 1,000,001 samples, 30 per linewidth: each estimate reads under 2% of them
+    spec = lorentzian_spectrum(1.3e9, 1e5, span_linewidths=1e6 / 30.0, n=1_000_001)
+    read = []
+
+    def recording_trace(spec, sel, **kwargs):
+        read.append(len(range(*sel.indices(spec.f_hz.size))))
+        return _trace(spec, sel, **kwargs)
+
+    monkeypatch.setattr(extract, "_trace", recording_trace)
+    for method in METHODS:
+        read.clear()
+        assert method(spec, 1.3e9).q_loaded == pytest.approx(1e5, rel=1e-2)
+        assert 0 < sum(read) <= 0.02 * spec.f_hz.size, method.__name__
+
+
+def test_reach_takes_its_grid_step_from_the_samples_about_the_peak():
+    # dense about the peak (30 samples per linewidth over +-300 linewidths),
+    # coarse (2 linewidths a step) elsewhere and in the majority, so the
+    # band's median step is the coarse one and the reach's the dense one
+    f0, q = 1.3e9, 1e5
+    lw = f0 / q
+    dense = f0 + lw * np.linspace(-300.0, 300.0, 18_001)
+    coarse = f0 + lw * np.arange(302.0, 60_000.0, 2.0)
+    f = np.concatenate([2.0 * f0 - coarse[::-1], dense, coarse])
+    spec = Spectrum(f, 0.5 / (1.0 + 2j * q * (f - f0) / f0))
+    assert coarse.size > dense.size
+    sel = _window(spec, f0, None)
+    assert dense[0] <= f[sel.start] and f[sel.stop - 1] <= dense[-1]
+    reach_only = Spectrum(f[sel], spec.s21[sel])
+    assert q_three_db(spec, f0) == q_three_db(reach_only, f0, math.inf)
+    # over the whole band the coarse step leaves the trace unaveraged
+    assert q_three_db(spec, f0) != q_three_db(spec, f0, math.inf)
+    # dense only within +-0.01 linewidth: the first reach's median step asks
+    # for an average longer than the reach, which grows until its median
+    # step is the coarse one, as over the band
+    dense = f0 + lw * np.linspace(-0.01, 0.01, 1001)
+    coarse = f0 + lw * np.arange(0.5, 30_000.0, 0.5)
+    f = np.concatenate([2.0 * f0 - coarse[::-1], dense, coarse])
+    spec = Spectrum(f, 0.5 / (1.0 + 2j * q * (f - f0) / f0))
+    for method in (q_three_db, q_phase_slope):
+        assert method(spec, f0) == method(spec, f0, math.inf)
 
 
 # ---------------------------------------------------------------------------
