@@ -58,6 +58,7 @@ from .network import (
     model_features,
     phase_curve,
     phase_derivative,
+    phase_slope,
     read_spectrum_csv,
     synthesize_s21,
     write_spectrum_csv,

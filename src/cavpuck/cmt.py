@@ -8,7 +8,8 @@ Two computational paths are provided on purpose:
   quality factors carry a sqrt(1 -+ |kappa|) times the harmonic-mean factor
   2*Qs*Qc/(Qs+Qc).
 * ``coupled_eigenmodes`` — general detuned case via the 2x2 complex
-  symmetric eigenproblem in angular-frequency squares.
+  symmetric eigenproblem in angular-frequency squares, solved by its
+  explicit roots (``CoupledSystem.eigenvalues``) and eigenvectors.
 
 The two paths deliberately disagree at O(kappa) in the quality factors: the
 eigen path leaves the on-resonance loss mix unsplit (both modes decay at
@@ -19,11 +20,10 @@ tolerance while frequency cross-checks can be tight.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import NotResonantError, UnphysicalModeError
 
@@ -62,13 +62,13 @@ class CoupledSystem:
     def __post_init__(self):
         for name in ("f_sto_hz", "f_cav_hz"):
             v = getattr(self, name)
-            if not (v > 0 and np.isfinite(v)):
+            if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
         for name in ("q_sto", "q_cav"):
             v = getattr(self, name)
             if not (v > 0):
                 raise ValueError(f"{name} must be positive, got {v}")
-        if not (abs(self.kappa) < 1 and np.isfinite(self.kappa)):
+        if not (abs(self.kappa) < 1 and math.isfinite(self.kappa)):
             raise ValueError(f"|kappa| must be < 1, got {self.kappa}")
 
     @property
@@ -82,6 +82,17 @@ class CoupledSystem:
         w1 = 2.0 * math.pi * self.f_sto_hz * (1.0 + 0.5j / self.q_sto)
         w2 = 2.0 * math.pi * self.f_cav_hz * (1.0 + 0.5j / self.q_cav)
         return w1 * w1, self.kappa * w1 * w2, w2 * w2
+
+    def eigenvalues(self) -> tuple[complex, complex]:
+        """Eigenvalues of matrix(), the squared complex mode frequencies:
+        m + s or m - s, whichever adds without cancellation, then det over
+        it.  Uncoupled, the diagonal entries themselves."""
+        a, b, d = self.matrix()
+        if b == 0:
+            return a, d
+        m, s = 0.5 * (a + d), cmath.sqrt(0.25 * (a - d) ** 2 + b * b)
+        lam1 = m + s if (m.conjugate() * s).real >= 0 else m - s
+        return lam1, (a * d - b * b) / lam1
 
 
 @dataclass(frozen=True)
@@ -145,31 +156,32 @@ def coupled_eigenmodes(sys: CoupledSystem) -> ModePair:
          [kappa*w1~*w2~,  w2~^2       ]]  v = lam v
 
     with index 1 the puck and 2 the cavity.  The principal square roots of
-    the eigenvalues give mode frequency Re(w~)/2pi and quality factor
-    Re(w~)/(2 Im(w~)).  A non-decaying root (Im < 0) means the input was
-    unphysical.  Each mode is labelled by the dominant eigenvector
-    component; components equal to within 1% give HYBRIDIZED.
+    its explicit roots (CoupledSystem.eigenvalues) give mode frequency
+    Re(w~)/2pi and quality factor Re(w~)/(2 Im(w~)).  A non-decaying root
+    (Im < 0) means the input was unphysical.  Each mode is labelled by the
+    dominant eigenvector component; components equal to within 1% give
+    HYBRIDIZED.
     """
     a, b, d = sys.matrix()
-    mat = np.array([[a, b], [b, d]])
-    lam, vec = np.linalg.eig(mat)
-    wt = np.sqrt(lam)  # principal branch: Re >= 0
-    order = np.argsort(wt.real)
-    wt, vec = wt[order], vec[:, order]
-    if np.any(wt.imag < 0):
-        raise UnphysicalModeError(f"growing mode: Im(w~) = {wt.imag}")
-
-    out = []
-    for i in range(2):
-        f = float(wt[i].real) / (2.0 * np.pi)
-        q = float(wt[i].real / (2.0 * wt[i].imag)) if wt[i].imag > 0 else math.inf
-        out.append((f, q, _label_from_vector(vec[:, i])))
-    (f1, q1, l1), (f2, q2, l2) = out
-    return ModePair(f1, q1, l1, f2, q2, l2)
+    modes = []
+    for i, lam in enumerate(sys.eigenvalues()):
+        wt = cmath.sqrt(lam)  # principal branch: Re >= 0
+        if wt.imag < 0:
+            raise UnphysicalModeError(f"growing mode: Im(w~) = {wt.imag}")
+        q = wt.real / (2.0 * wt.imag) if wt.imag > 0 else math.inf
+        modes.append((wt.real, q, _label(lam, a, b, d, i)))
+    (w1, q1, l1), (w2, q2, l2) = sorted(modes, key=lambda mode: mode[0])
+    return ModePair(w1 / (2.0 * math.pi), q1, l1, w2 / (2.0 * math.pi), q2, l2)
 
 
-def _label_from_vector(v) -> ModeLabel:
-    a_sto, a_cav = abs(v[0]), abs(v[1])
+def _label(lam, a, b, d, i) -> ModeLabel:
+    """Label of the root lam of [[a, b], [b, d]] from its eigenvector, the
+    longer of (b, lam - a) and (lam - d, b).  Both vanish only on a multiple
+    of the identity, where the i-th unit vector serves."""
+    u, v = (abs(b), abs(lam - a)), (abs(lam - d), abs(b))
+    if not any(u + v):
+        u = v = ((1, 0), (0, 1))[i]
+    a_sto, a_cav = max(u, v, key=lambda c: math.hypot(*c))
     if abs(a_sto - a_cav) <= _TIE_RTOL * max(a_sto, a_cav):
         return ModeLabel.HYBRIDIZED
     return ModeLabel.STO if a_sto > a_cav else ModeLabel.CAVITY

@@ -18,8 +18,8 @@ The estimates share scaffolding (windowing, the Levenberg-Marquardt loop)
 but consume different aspects of the data — magnitude crossings, the full
 power shape, the phase swing — so they still cross-check each other.
 Every local-maximum search here (the 3 dB peak, the neighbours that clip
-the Lorentzian window, the phase-derivative extrema of the Q products)
-uses the one rule of the network peak finder, network._local_maxima.
+the Lorentzian window) uses the one rule of the network peak finder,
+network._local_maxima.
 
 With no window an estimate reads only the *reach* of near_hz, with the
 result it would have over the whole band.  The reach starts as 64 samples
@@ -55,10 +55,11 @@ from .network import (
     _check_grid_resolution,
     _local_maxima,
     _refine,
-    find_peaks_and_notch,
-    phase_derivative,
-    synthesize_s21,
+    model_features,
+    phase_slope,
 )
+# Unused here, but bound for perfbench/spans.py, which wraps this name.
+from .network import phase_derivative  # noqa: F401
 
 _HALF_POWER_DB = 10.0 * math.log10(2.0)  # 3.0103 dB
 
@@ -264,6 +265,8 @@ def _three_db_core(f, power, near_hz, open_=(False, False)):
         db = 10.0 * np.log10(np.maximum(power, np.finfo(float).tiny))
     i = _nearest_local_max(f, db, near_hz, open_)
     f0, peak_db = _refine(f, db, i)
+    if not peak_db - _HALF_POWER_DB < db[i]:  # a parabola through a zero or a cliff
+        f0, peak_db = f[i], db[i]
     target = peak_db - _HALF_POWER_DB
 
     def cross(step):
@@ -612,10 +615,10 @@ class EpsSensitivity:
 
 @dataclass(frozen=True)
 class QProducts:
-    """|df/deps| x phase-derivative extremum, per feature (rad/unit).
+    """|df/deps| x |dphi/df| at the feature, per feature (rad/unit).
 
     A readout figure of merit: frequency responsivity times phase sharpness
-    at the feature one would actually track.
+    at the feature one would actually track, the model's exact phase slope.
     """
 
     mode1: float
@@ -626,12 +629,12 @@ class QProducts:
 def sensitivity_to_eps(builder, eps_r: float, delta: float = 0.5) -> EpsSensitivity:
     """Central differences of the three spectral features over eps_r +- delta.
 
-    builder(eps_r) -> TwoPortModel; spectra are synthesized on each model's
-    own default grid (the features are refined, so the grids need not
-    match).  PeaksNotResolvedError from either endpoint propagates.
+    builder(eps_r) -> TwoPortModel; the features are the model's exact
+    ones (network.model_features), so no spectrum is synthesized.
+    PeaksNotResolvedError from either endpoint propagates.
     """
-    lo = find_peaks_and_notch(synthesize_s21(builder(eps_r - delta)))
-    hi = find_peaks_and_notch(synthesize_s21(builder(eps_r + delta)))
+    lo = model_features(builder(eps_r - delta))
+    hi = model_features(builder(eps_r + delta))
     twod = 2.0 * delta
     return EpsSensitivity(
         dfpeak1_deps=(hi.f_peak1_hz - lo.f_peak1_hz) / twod,
@@ -641,20 +644,15 @@ def sensitivity_to_eps(builder, eps_r: float, delta: float = 0.5) -> EpsSensitiv
 
 
 def sensitivity_q_product(builder, eps_r: float, delta: float = 0.5) -> QProducts:
-    """Feature responsivity times phase-derivative sharpness at eps_r."""
+    """Feature responsivity times the exact phase slope at each feature.  A
+    lossless puck's notch is an exact zero, a pi step of the phase: its
+    product is inf."""
     sens = sensitivity_to_eps(builder, eps_r, delta)
-    spec = synthesize_s21(builder(eps_r))
-    summary = find_peaks_and_notch(spec)
-    dphi = np.abs(phase_derivative(spec))
-    f = spec.f_hz
-
-    def sharpness(f_feature):
-        i = _nearest_local_max(f, dphi, f_feature)
-        _, val = _refine(f, dphi, i)
-        return abs(val)
-
+    model = builder(eps_r)
+    feat = model_features(model)
+    notch_slope = math.inf if feat.depth_db == -math.inf else phase_slope(model, feat.f_notch_hz)
     return QProducts(
-        mode1=abs(sens.dfpeak1_deps) * sharpness(summary.f_peak1_hz),
-        mode2=abs(sens.dfpeak2_deps) * sharpness(summary.f_peak2_hz),
-        notch=abs(sens.dfnotch_deps) * sharpness(summary.f_notch_hz),
+        mode1=abs(sens.dfpeak1_deps * phase_slope(model, feat.f_peak1_hz)),
+        mode2=abs(sens.dfpeak2_deps * phase_slope(model, feat.f_peak2_hz)),
+        notch=abs(sens.dfnotch_deps * notch_slope),
     )

@@ -21,14 +21,13 @@ sqrt(ge1*ge2)/(gc + ge1 + ge2) with gc = wc/(2 Q_cav), to O(1/Q).
 
 A peak d linewidths from the zero sits about 1/(4d) linewidth off its
 pole, pushed away from the zero: within a few linewidths of the zero a
-peak is not Lorentzian.  ``model_features`` finds the peaks and the notch
-as exact stationary points of |S21|, with no grid; ``find_peaks_and_notch``
-reads them off a sampled spectrum.
+peak is not Lorentzian.  ``model_features`` and ``phase_slope`` give the
+exact peaks, notch and phase slope, with no grid; ``find_peaks_and_notch``
+and ``phase_derivative`` read them off a sampled spectrum.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -415,18 +414,15 @@ def model_features(model: TwoPortModel) -> PeakNotchSummary:
     With Q_sto = inf the zero is exact: the notch sits at f_sto and
     depth_db is -inf.
     """
-    a, b, d = model.loaded_system().matrix()
+    loaded = model.loaded_system()
+    a, b, d = loaded.matrix()
     if b == 0:
         x = _peak(d.real, d.imag, ((d, -1.0),))
         raise PeaksNotResolvedError(
             f"expected two resolved peaks, found {int(x is not None)}",
             single_peak_hz=None if x is None else _x_to_hz(x),
         )
-    # eigenvalues m +- s: the larger one directly, the other as det/lam1
-    m = 0.5 * (a + d)
-    s = cmath.sqrt(0.25 * (a - d) ** 2 + b * b)
-    lam1 = m + s if (m.conjugate() * s).real >= 0 else m - s
-    lam2 = (a * d - b * b) / lam1
+    lam1, lam2 = loaded.eigenvalues()
     terms = ((a, 1.0), (lam1, -1.0), (lam2, -1.0))
     maxima = []  # (x, log power)
     for lam in (lam1, lam2):
@@ -453,6 +449,23 @@ def model_features(model: TwoPortModel) -> PeakNotchSummary:
         f"expected two resolved peaks, found {min(len(maxima), 1)}",
         single_peak_hz=None if best is None else _x_to_hz(best[0]),
     )
+
+
+def phase_slope(model: TwoPortModel, f_hz: float) -> float:
+    """d(phase)/df of S21 at f_hz in rad/Hz, exact: Im(S21'/S21) from the
+    zero a and the poles lam_i.  With w = 2 pi f and x = w^2,
+
+        dphi/df = 4 pi w (sum_i Im lam_i/|lam_i - x|^2 - Im a/|a - x|^2)
+
+    A lossless puck's real zero steps the phase by pi at f_sto: no slope.
+    """
+    loaded = model.loaded_system()
+    w = 2.0 * math.pi * f_hz
+    turn = 0.0
+    for c, sign in zip((loaded.matrix()[0], *loaded.eigenvalues()), (-1.0, 1.0, 1.0)):
+        if c.imag:
+            turn += sign * c.imag / ((w * w - c.real) ** 2 + c.imag ** 2)
+    return 4.0 * math.pi * w * turn
 
 
 def _x_to_hz(x: float) -> float:

@@ -93,7 +93,8 @@ class ResponsivityReport:
     validity band of the frequency rule, so absolute frequencies (not the
     ratios) deserve suspicion.  ``f_sto_source`` names where f_sto and its
     drift came from: ``"permittivity"`` (the eps_r(T) chain) or ``"fit"``
-    (a measured f_sto(T) parabola).
+    (a measured f_sto(T) parabola).  ``path`` is ``"closed_form"`` at
+    exact resonance and ``"eigen"`` otherwise, as ``cavpuck modes`` says.
     """
 
     t_k: float
@@ -106,6 +107,7 @@ class ResponsivityReport:
     figure_of_merit_2: float
     formula_caveat: bool
     f_sto_source: str = "permittivity"
+    path: str = "eigen"
 
     def as_dict(self) -> dict:
         return {
@@ -123,6 +125,7 @@ class ResponsivityReport:
             "figure_of_merit_2": self.figure_of_merit_2,
             "formula_caveat": self.formula_caveat,
             "f_sto_source": self.f_sto_source,
+            "path": self.path,
         }
 
 
@@ -132,9 +135,9 @@ def responsivity_report(
 ) -> ResponsivityReport:
     """Attach mode structure and beta-weighted drifts to a known dfsto/dT."""
     try:
-        modes = on_resonance_modes(sys)
+        modes, path = on_resonance_modes(sys), "closed_form"
     except NotResonantError:
-        modes = coupled_eigenmodes(sys)
+        modes, path = coupled_eigenmodes(sys), "eigen"
     beta = beta_coefficients(sys)
     df1 = beta.beta1 * dfsto
     df2 = beta.beta2 * dfsto
@@ -149,6 +152,7 @@ def responsivity_report(
         figure_of_merit_2=abs(df2) * modes.q2 / modes.f2_hz,
         formula_caveat=formula_caveat,
         f_sto_source=f_sto_source,
+        path=path,
     )
 
 

@@ -84,3 +84,13 @@ def test_make_operating_point_binds_seven_positional_arguments():
 
     inspect.signature(make_operating_point).bind(*range(7))
     inspect.signature(responsivity).bind(None)
+
+
+def test_run_sweep_binds_plan_and_workers_positionally():
+    # workloads.py calls run_sweep(plan, workers) with workers None or an
+    # int, and spans.py reads the worker count from args[1]
+    from cavpuck.sweep import run_sweep
+
+    for workers in (None, 1):
+        bound = inspect.signature(run_sweep).bind("plan", workers)
+        assert bound.arguments == {"plan": "plan", "workers": workers}

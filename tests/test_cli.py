@@ -424,6 +424,7 @@ def test_sensitivity_report_values(capsys):
     assert got["f1_hz"] == pytest.approx(425576367.03911066, rel=1e-12)
     assert got["q2"] == pytest.approx(29275029.56217291, rel=1e-12)
     assert got["f_sto_source"] == "permittivity"
+    assert got["path"] == "eigen"
 
 
 def test_constant_permittivity_prints_an_unsigned_zero_drift(capsys):

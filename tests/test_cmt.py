@@ -19,7 +19,7 @@ from cavpuck.cmt import (
     kappa_from_split,
     on_resonance_modes,
 )
-from cavpuck.errors import NotResonantError
+from cavpuck.errors import NotResonantError, UnphysicalModeError
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +158,74 @@ def test_labels_follow_dominant_component():
     assert (above.label1, above.label2) == (ModeLabel.CAVITY, ModeLabel.STO)
     tied = coupled_eigenmodes(resonant_system())
     assert (tied.label1, tied.label2) == (ModeLabel.HYBRIDIZED, ModeLabel.HYBRIDIZED)
+
+
+def test_uncoupled_edge_cases_keep_their_labels_and_order():
+    # kappa = 0: the bare pair, whatever the detuning.  Modes of equal
+    # frequency come puck first, cavity second.
+    S, C = ModeLabel.STO, ModeLabel.CAVITY
+    cases = (
+        ((1.3e9, 1e4, 1.3e9, 1e4), (1.3e9, 1e4, S, 1.3e9, 1e4, C)),
+        ((1.3e9, 1e4, 1.3e9, 4.2e7), (1.3e9, 1e4, S, 1.3e9, 4.2e7, C)),
+        ((1.3e9, 4.2e7, 1.3e9, 1e4), (1.3e9, 4.2e7, S, 1.3e9, 1e4, C)),
+        ((1.31e9, 1e4, 1.3e9, 4.2e7), (1.3e9, 4.2e7, C, 1.31e9, 1e4, S)),
+        ((1.29e9, 1e4, 1.3e9, 4.2e7), (1.29e9, 1e4, S, 1.3e9, 4.2e7, C)),
+        ((1.3e9, math.inf, 1.3e9, math.inf), (1.3e9, math.inf, S, 1.3e9, math.inf, C)),
+    )
+    for (f_sto, q_sto, f_cav, q_cav), (f1, q1, l1, f2, q2, l2) in cases:
+        pair = coupled_eigenmodes(CoupledSystem(f_sto, q_sto, f_cav, q_cav, 0.0))
+        assert (pair.label1, pair.label2) == (l1, l2)
+        assert pair.f1_hz == pytest.approx(f1, rel=1e-15)
+        assert pair.f2_hz == pytest.approx(f2, rel=1e-15)
+        assert pair.q1 == pytest.approx(q1, rel=1e-12)
+        assert pair.q2 == pytest.approx(q2, rel=1e-12)
+    lossless = coupled_eigenmodes(CoupledSystem(1.3e9, math.inf, 1.3e9, math.inf, 0.03))
+    assert (lossless.label1, lossless.label2) == (ModeLabel.HYBRIDIZED, ModeLabel.HYBRIDIZED)
+    assert math.isinf(lossless.q1) and math.isinf(lossless.q2)
+
+
+def _eig_modes(sys):
+    """(f1, q1, label1, f2, q2, label2) from a general eigensolver: the
+    oracle for the explicit roots."""
+    a, b, d = sys.matrix()
+    lam, vec = np.linalg.eig(np.array([[a, b], [b, d]]))
+    wt = np.sqrt(lam)
+    out = []
+    for i in np.argsort(wt.real, kind="stable"):
+        v = np.abs(vec[:, i])
+        if abs(v[0] - v[1]) <= 0.01 * max(v):
+            label = ModeLabel.HYBRIDIZED
+        else:
+            label = ModeLabel.STO if v[0] > v[1] else ModeLabel.CAVITY
+        w = complex(wt[i])
+        out += [w.real / (2.0 * math.pi), w.real / (2.0 * w.imag) if w.imag > 0 else math.inf, label]
+    return tuple(out)
+
+
+def test_explicit_roots_match_a_general_eigensolver():
+    rng = np.random.default_rng(31)
+    n = 10_000
+    f_sto = rng.uniform(0.5e9, 2e9, n)
+    f_cav = np.where(np.arange(n) % 4 == 0, f_sto, rng.uniform(0.5e9, 2e9, n))  # a quarter on resonance
+    q_sto, q_cav = 10.0 ** rng.uniform(2.0, 9.0, (2, n))
+    kappa = np.where(np.arange(n) % 8 < 2, 0.0, rng.uniform(-0.9, 0.9, n))  # kappa = 0 at and off resonance
+    worst_f = worst_q = 0.0
+    for sys in map(CoupledSystem, f_sto, q_sto, f_cav, q_cav, kappa):
+        pair = coupled_eigenmodes(sys)
+        f1, q1, l1, f2, q2, l2 = _eig_modes(sys)
+        assert (pair.label1, pair.label2) == (l1, l2), sys
+        worst_f = max(worst_f, abs(pair.f1_hz - f1) / f1, abs(pair.f2_hz - f2) / f2)
+        worst_q = max(worst_q, abs(pair.q1 - q1) / q1, abs(pair.q2 - q2) / q2)
+    assert worst_f <= 1e-12
+    assert worst_q <= 1e-9
+
+
+def test_a_growing_mode_is_reported_with_its_rate(monkeypatch):
+    sys = CoupledSystem(1.3e9, 1e4, 1.3e9, 4.2e7, 0.03)
+    a, b, d = sys.matrix()
+    monkeypatch.setattr(CoupledSystem, "eigenvalues", lambda self: (a, a.conjugate()))
+    with pytest.raises(UnphysicalModeError, match=r"^growing mode: Im\(w~\) = -\d[\d.e+-]*$"):
+        coupled_eigenmodes(sys)
 
 
 def test_far_detuned_modes_stay_bare():

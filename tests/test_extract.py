@@ -16,11 +16,12 @@ from conftest import (
 from cavpuck.cmt import coupled_eigenmodes
 from cavpuck.errors import (
     BandEdgeClippedError,
+    CavpuckError,
     GridTooCoarseError,
     NoConvergenceError,
     PeaksNotResolvedError,
 )
-from cavpuck import extract
+from cavpuck import extract, network
 from cavpuck.extract import (
     Method,
     _Detuning,
@@ -42,6 +43,8 @@ from cavpuck.network import (
     Spectrum,
     default_frequency_grid,
     find_peaks_and_notch,
+    model_features,
+    phase_slope,
     synthesize_s21,
 )
 from cavpuck.resonator import (
@@ -345,6 +348,28 @@ def test_reach_gives_the_whole_band_result_at_the_edge_cases(monkeypatch, margin
     _assert_reach_matches_the_band(wide, [wide.f_hz[1000], 1.3e9 + 600 * 1.3e5])
 
 
+def test_a_flat_top_beside_an_exact_zero_gives_a_finite_q():
+    # S21 rounded to 1/64: at near_hz the nearest local maximum is a flat
+    # top of two samples between exact zeros.  A parabola through the zero's
+    # floor put the peak at +347 dB, and the 3 dB walks divided by zero.
+    noisy = with_noise(lorentzian_spectrum(1.3e9, 1e4, span_linewidths=400.0, n=10_001), 30.0, 1)
+    spec = Spectrum(noisy.f_hz, np.round(noisy.s21 * 64.0) / 64.0)
+    near = 1_278_451_200.0
+    i = int(np.searchsorted(spec.f_hz, near))
+    top = np.abs(spec.s21[i : i + 4])
+    assert top[0] == top[3] == 0.0 and top[1] == top[2] > 0.0
+    for window in (None, math.inf):  # the reach, and the whole band
+        est = q_three_db(spec, near, window)
+        assert math.isfinite(est.q_loaded) and est.q_loaded > 0
+        assert est.amplitude < 0.05
+        for method in (fit_lorentzian, q_phase_slope):
+            try:
+                assert math.isfinite(method(spec, near, window).q_loaded)
+            except CavpuckError:
+                pass
+    assert q_three_db(spec, near) == q_three_db(spec, near, math.inf)
+
+
 def test_unwindowed_estimates_read_only_the_samples_about_their_peak(monkeypatch):
     # 1,000,001 samples, 30 per linewidth: each estimate reads under 2% of them
     spec = lorentzian_spectrum(1.3e9, 1e5, span_linewidths=1e6 / 30.0, n=1_000_001)
@@ -445,6 +470,32 @@ def test_copper_walls_leave_the_notch_as_best_feature():
     qp = sensitivity_q_product(lambda e: driven_model(e, q_cav=2.89e4), eps_star)
     assert qp.notch > qp.mode1
     assert qp.notch > qp.mode2
+
+
+def test_responsivities_synthesize_no_spectrum(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a responsivity sampled a spectrum")
+
+    for module in (extract, network):
+        for name in ("synthesize_s21", "find_peaks_and_notch", "phase_derivative"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    sens = sensitivity_to_eps(driven_model, 230.0)
+    assert sens.dfnotch_deps < sens.dfpeak1_deps < sens.dfpeak2_deps < 0
+    qp = sensitivity_q_product(driven_model, 230.0)
+    assert min(qp.mode1, qp.mode2, qp.notch) > 0
+
+
+def test_q_products_are_the_exact_phase_slopes_at_the_exact_features():
+    model = driven_model(230.0)
+    features = model_features(model)
+    sens = sensitivity_to_eps(driven_model, 230.0)
+    qp = sensitivity_q_product(driven_model, 230.0)
+    assert qp.mode1 == abs(sens.dfpeak1_deps * phase_slope(model, features.f_peak1_hz))
+    assert qp.mode2 == abs(sens.dfpeak2_deps * phase_slope(model, features.f_peak2_hz))
+    assert qp.notch == abs(sens.dfnotch_deps * phase_slope(model, features.f_notch_hz))
+    # a lossless puck's notch is an exact zero: a pi step, infinitely sharp
+    lossless = sensitivity_q_product(lambda e: driven_model(e, q_sto=math.inf), 230.0)
+    assert math.isinf(lossless.notch) and math.isfinite(lossless.mode1)
 
 
 def test_uncoupled_puck_has_no_trackable_split():

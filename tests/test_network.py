@@ -25,6 +25,7 @@ from cavpuck.network import (
     model_features,
     phase_curve,
     phase_derivative,
+    phase_slope,
     read_spectrum_csv,
     synthesize_s21,
     write_spectrum_csv,
@@ -484,6 +485,39 @@ def test_narrow_explicit_grid_restores_phase_analysis():
     # the slope extremum marks the driven pole, the loaded eigenmode
     f_pole = coupled_eigenmodes(model.loaded_system()).f2_hz
     assert grid[int(np.argmax(dphi))] == pytest.approx(f_pole, abs=5 * lw)
+
+
+def test_phase_slope_matches_local_differences_at_every_feature():
+    # the closed form against central differences of the synthesized phase
+    # over +-1e-3 of each feature's own width (pole linewidth, notch width)
+    for name, eps_r in (("paper-pec", 215.0), ("paper-pec", 260.0), ("paper-pec", 300.0),
+                        ("paper-room", 230.0)):
+        for kappa in (0.03, 0.005):
+            model = bundled_scenario(name).two_port(eps_r=eps_r, kappa=kappa)
+            features = model_features(model)
+            poles = coupled_eigenmodes(model.loaded_system())
+            for f, width in ((features.f_peak1_hz, poles.f1_hz / poles.q1),
+                             (features.f_peak2_hz, poles.f2_hz / poles.q2),
+                             (features.f_notch_hz, model.sys.f_sto_hz / model.sys.q_sto)):
+                grid = f + width * np.linspace(-1e-3, 1e-3, 201)
+                phase = np.unwrap(np.angle(synthesize_s21(model, grid).s21))
+                assert phase_slope(model, f) == pytest.approx(
+                    np.gradient(phase, grid)[100], rel=1e-5), (name, eps_r, kappa, f)
+
+
+def test_phase_slope_signs_and_the_lorentzian_limit(canonical):
+    model, _ = canonical
+    features = model_features(model)
+    assert phase_slope(model, features.f_peak1_hz) > 0
+    assert phase_slope(model, features.f_peak2_hz) > 0
+    assert phase_slope(model, features.f_notch_hz) < 0
+    # a lone loaded cavity line: 2 Q_L / f0 at its centre
+    lone = driven_model(230.0, kappa=1e-9)
+    ql = lone.loaded_system().q_cav
+    assert phase_slope(lone, REF_F_CAV) == pytest.approx(2.0 * ql / REF_F_CAV, rel=1e-6)
+    # a lossless puck's zero steps the phase and turns it nowhere
+    lossless = driven_model(230.0, q_sto=math.inf)
+    assert phase_slope(lossless, F_STO_230 * (1 + 1e-6)) > 0
 
 
 # ---------------------------------------------------------------------------

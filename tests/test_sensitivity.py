@@ -6,7 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from cavpuck.cmt import CoupledSystem, ModeLabel, beta_coefficients, coupled_eigenmodes
+from cavpuck.cmt import (
+    CoupledSystem,
+    ModeLabel,
+    beta_coefficients,
+    coupled_eigenmodes,
+    on_resonance_modes,
+)
 from cavpuck.materials import (
     ConstantPermittivity,
     InverseTPermittivity,
@@ -164,9 +170,19 @@ def test_report_as_dict_keys(report_50k):
     assert sorted(report_50k.as_dict()) == [
         "beta1", "beta2", "df1_dt_hz_per_k", "df2_dt_hz_per_k",
         "dfsto_dt_hz_per_k", "f1_hz", "f2_hz", "f_sto_source", "figure_of_merit_1",
-        "figure_of_merit_2", "formula_caveat", "q1", "q2", "t_k",
+        "figure_of_merit_2", "formula_caveat", "path", "q1", "q2", "t_k",
     ]
     assert report_50k.as_dict()["f_sto_source"] == "permittivity"
+    assert report_50k.as_dict()["path"] == "eigen"
+
+
+def test_report_names_the_path_that_solved_the_modes():
+    resonant = CoupledSystem(1.3e9, 1e4, 1.3e9, 4.2e7, 0.0278)
+    on = responsivity_report(resonant, 1e6)
+    assert (on.path, on.modes) == ("closed_form", on_resonance_modes(resonant))
+    detuned = CoupledSystem(1.29e9, 1e4, 1.3e9, 4.2e7, 0.0278)
+    off = responsivity_report(detuned, 1e6)
+    assert (off.path, off.modes) == ("eigen", coupled_eigenmodes(detuned))
 
 
 def test_off_band_puck_sets_the_caveat_flag():
